@@ -31,8 +31,8 @@ type result = {
    its own locations, one write per unit of sim time, so a fixed
    [checkpoint_every] period snapshots a fixed-size window), then measure
    whole-cluster recovery by power-cycling the quiesced cluster [cycles]
-   times.  Replay counts are seed-deterministic; the host seconds are the
-   one measured quantity. *)
+   times.  Replay counts are seed-deterministic; the host CPU seconds are
+   the one measured quantity. *)
 let run_case ~interval ~nodes ~ops ~cycles ~seed =
   let engine = Engine.create () in
   let sched = Proc.scheduler engine in
@@ -104,8 +104,8 @@ let run ?(quick = false) ?(seed = 7L) () =
   { nodes; cycles; quick; cases; replay_bounded }
 
 (* Hand-rolled JSON, like {!Bench.to_json}: flat, stable field order.  The
-   [seconds_per_recovery] figures are host-time measurements and therefore
-   the one non-deterministic part of the artifact. *)
+   [seconds_per_recovery] figures are host CPU-time measurements and
+   therefore the one non-deterministic part of the artifact. *)
 let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f
 
 let json_case b (c : case) =

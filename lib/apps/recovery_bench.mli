@@ -4,8 +4,9 @@
     Each grid cell runs a pure owner-write workload (every node writes its
     own locations once per unit of sim time) to quiescence, then
     power-cycles the whole cluster — crash every node, restart every node —
-    many times, measuring the replayed-record count and the host time spent
-    in {!Dsm_causal.Cluster.restart_result}'s replay path.  Cells vary the
+    many times, measuring the replayed-record count and the host CPU time
+    (process time, [Sys.time]) spent in
+    {!Dsm_causal.Cluster.restart_result}'s replay path.  Cells vary the
     per-node operation count and toggle periodic checkpointing at a fixed
     interval.
 
@@ -13,7 +14,7 @@
     recovery work is bounded by records-since-checkpoint and stays roughly
     flat as the total log grows, while the uncheckpointed replay grows
     linearly with it.  Replay counts are seed-deterministic; only the
-    [seconds_per_recovery] figures are host-time measurements.
+    [seconds_per_recovery] figures are host CPU-time measurements.
 
     The [dsm bench recovery] subcommand wraps {!run} and writes {!to_json}
     to [BENCH_recovery.json]. *)
@@ -28,7 +29,8 @@ type case = {
   wal_truncated : int;  (** entries compaction dropped, lifetime *)
   recoveries : int;  (** node restarts performed ([nodes * cycles]) *)
   replayed_per_recovery : float;  (** records replayed per restart *)
-  seconds_per_recovery : float;  (** host seconds per restart (measured) *)
+  seconds_per_recovery : float;
+      (** host CPU seconds (process time) per restart (measured) *)
   unfinished : int;  (** blocked processes — 0 on a healthy cell *)
 }
 

@@ -39,7 +39,6 @@ type t = {
   nodes : node array;
   recorder : History.Recorder.t;
   mutable invalidations_sent : int;
-  mutable timed : (Dsm_memory.Op.t * float * float) list; (* newest first *)
 }
 
 type handle = { cluster : t; node : node }
@@ -198,7 +197,6 @@ let create ~sched ~owner ?(mode = `Counted)
       nodes;
       recorder = History.Recorder.create ~processes;
       invalidations_sent = 0;
-      timed = [];
     }
   in
   for me = 0 to processes - 1 do
@@ -216,11 +214,9 @@ let net t = t.net
 
 let history t = History.Recorder.history t.recorder
 
-let timed_history t = List.rev t.timed
+let timed_history t = History.Recorder.timed_history t.recorder
 
 let now t = Dsm_sim.Engine.now (Proc.engine t.sched)
-
-let log_timed t op start_time = t.timed <- (op, start_time, now t) :: t.timed
 
 let copyset_size t loc =
   let owner_node = t.nodes.(owner_of t loc) in
@@ -251,11 +247,9 @@ let read h loc =
   let node = h.node in
   let start_time = now t in
   let record (entry : Message.entry) =
-    let op =
-      History.Recorder.record_read t.recorder ~pid:node.id ~loc ~value:entry.Message.value
-        ~from:entry.Message.wid
-    in
-    log_timed t op start_time;
+    ignore
+      (History.Recorder.record_read ~start:start_time ~finish:(now t) t.recorder ~pid:node.id
+         ~loc ~value:entry.Message.value ~from:entry.Message.wid);
     entry.Message.value
   in
   match Loc.Table.find_opt node.store loc with
@@ -286,10 +280,9 @@ let write h loc value =
         notified := true;
         if not (Proc.is_filled ivar) then Proc.fill ivar ());
     if not !notified then Proc.await ivar;
-    let op =
-      History.Recorder.record_write t.recorder ~pid:node.id ~loc ~value ~wid:entry.Message.wid
-    in
-    log_timed t op start_time
+    ignore
+      (History.Recorder.record_write ~start:start_time ~finish:(now t) t.recorder ~pid:node.id
+         ~loc ~value ~wid:entry.Message.wid)
   end
   else begin
     match
@@ -299,11 +292,9 @@ let write h loc value =
         (* The writer keeps a copy; the owner has already put it in the
            copyset. *)
         Loc.Table.replace node.store loc entry;
-        let op =
-          History.Recorder.record_write t.recorder ~pid:node.id ~loc ~value
-            ~wid:entry.Message.wid
-        in
-        log_timed t op start_time
+        ignore
+          (History.Recorder.record_write ~start:start_time ~finish:(now t) t.recorder
+             ~pid:node.id ~loc ~value ~wid:entry.Message.wid)
     | _ -> assert false
   end
 

@@ -46,7 +46,9 @@ val history : t -> Dsm_memory.History.t
 
 val timed_history : t -> (Dsm_memory.Op.t * float * float) list
 (** Every application operation with its (start, end) simulated times, in
-    completion order — input to the linearizability checker. *)
+    completion order — input to the linearizability checker.  Built on
+    demand from the same retained ops as {!history}: each op is held
+    once. *)
 
 val copyset_size : t -> Dsm_memory.Loc.t -> int
 (** Size of the owner-side copyset (tests and ablations). *)

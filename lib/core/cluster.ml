@@ -72,7 +72,6 @@ type t = {
   recorder : History.Recorder.t;
   pending : (int, Message.t Proc.ivar) Hashtbl.t array;
   mutable timers_stopped : bool;
-  mutable timed : (Dsm_memory.Op.t * float * float) list; (* newest first *)
   mutable stale_replies : int;
   mutable rpc_timeouts : int;
   (* Owner failover: durable logs, heartbeat timers, blocked local writers. *)
@@ -396,7 +395,6 @@ let create ~sched ~owner ?(config = Config.default) ?latency ?fault ?reliability
       recorder = History.Recorder.create ~processes;
       pending = Array.init processes (fun _ -> Hashtbl.create 8);
       timers_stopped = false;
-      timed = [];
       stale_replies = 0;
       rpc_timeouts = 0;
       disk;
@@ -517,9 +515,7 @@ let rpc_timeouts t = t.rpc_timeouts
 
 let history t = History.Recorder.history t.recorder
 
-let timed_history t = List.rev t.timed
-
-let log_timed t op start_time = t.timed <- (op, start_time, sim_now t) :: t.timed
+let timed_history t = History.Recorder.timed_history t.recorder
 
 let stats t = List.init (processes t) (fun pid -> Node.stats (node t pid))
 
@@ -644,8 +640,8 @@ let restart_result t pid =
   if not (Protocol.is_crashed t.core pid) then Error (Not_crashed pid)
   else begin
     (match t.transport with Direct _ -> () | Framed r -> Reliable.reset_node r pid);
-    (* Host (wall-clock) time around replay: the quantity the recovery
-       bench plots against records-since-checkpoint. *)
+    (* Process CPU time around replay: the quantity the recovery bench
+       plots against records-since-checkpoint. *)
     let started = Sys.time () in
     let records = Wal.replay t.wals.(pid) in
     dispatch t (Protocol.Restart { node = pid; now = sim_now t; records });
@@ -744,11 +740,9 @@ let read_stamped h loc =
   let stats = Node.stats node in
   let start_time = sim_now t in
   let record_read entry =
-    let op =
-      History.Recorder.record_read t.recorder ~pid:(Node.id node) ~loc
-        ~value:entry.Stamped.value ~from:entry.Stamped.wid
-    in
-    log_timed t op start_time;
+    ignore
+      (History.Recorder.record_read ~start:start_time ~finish:(sim_now t) t.recorder
+         ~pid:(Node.id node) ~loc ~value:entry.Stamped.value ~from:entry.Stamped.wid);
     emit_body t
       (Trace.Op_read
          { node = Node.id node; loc; value = entry.Stamped.value; from = entry.Stamped.wid });
@@ -854,10 +848,9 @@ let write_resolved h loc value =
       match t.last_local_write with Some e -> e | None -> assert false
     in
     if not (Proc.is_filled ivar) then Proc.await ivar;
-    let op =
-      History.Recorder.record_write t.recorder ~pid:me ~loc ~value ~wid:entry.Stamped.wid
-    in
-    log_timed t op start_time;
+    ignore
+      (History.Recorder.record_write ~start:start_time ~finish:(sim_now t) t.recorder ~pid:me
+         ~loc ~value ~wid:entry.Stamped.wid);
     emit_body t (Trace.Op_write { node = me; loc; value; wid = entry.Stamped.wid });
     `Accepted
   end
@@ -882,8 +875,9 @@ let write_resolved h loc value =
         Node.adopt_write_reply node loc stored;
         Node.enforce_capacity node;
         stats.Node_stats.writes_remote <- stats.Node_stats.writes_remote + 1;
-        let op = History.Recorder.record_write t.recorder ~pid:(Node.id node) ~loc ~value ~wid in
-        log_timed t op start_time;
+        ignore
+          (History.Recorder.record_write ~start:start_time ~finish:(sim_now t) t.recorder
+             ~pid:(Node.id node) ~loc ~value ~wid);
         emit_body t (Trace.Op_write { node = Node.id node; loc; value; wid });
         if accepted then `Accepted
         else begin

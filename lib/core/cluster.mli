@@ -260,8 +260,8 @@ val replayed_records : t -> int
     records-since-checkpoint per node, not log lifetime. *)
 
 val recovery_seconds : t -> float
-(** Cumulative host (wall-clock) time spent replaying logs in
-    {!restart}; what [dsm bench recovery] measures. *)
+(** Cumulative host CPU time (process time, [Sys.time]) spent replaying
+    logs in {!restart}; what [dsm bench recovery] measures. *)
 
 val takeovers : t -> int
 (** Ownership promotions performed by backups. *)
@@ -347,12 +347,15 @@ val node : t -> int -> Dsm_protocol.Node.t
 (** Direct access to protocol state, for tests and ablations. *)
 
 val history : t -> Dsm_memory.History.t
-(** Everything recorded so far. *)
+(** Everything recorded so far, as a fresh snapshot.  The cluster retains
+    each op once, in its {!Dsm_memory.History.Recorder}; this and
+    {!timed_history} are both views of that one record. *)
 
 val timed_history : t -> (Dsm_memory.Op.t * float * float) list
-(** Every application operation with its (start, end) simulated times —
-    input to the linearizability checker; causal memory's weak executions
-    show up here as non-linearizable interval sets. *)
+(** Every application operation with its (start, end) simulated times, in
+    completion order — input to the linearizability checker; causal
+    memory's weak executions show up here as non-linearizable interval
+    sets.  Built on demand from the same retained ops as {!history}. *)
 
 val stats : t -> Dsm_protocol.Node_stats.t list
 (** Per-node counters, pid order. *)

@@ -20,23 +20,24 @@ type record = Log_record.t =
 
 exception Sync_failed of int
 
-(* One durable cell: the record, its validity, and the per-record checksum
-   written alongside it.  A torn checkpoint is physically present (the
-   writer believed the sync succeeded) but fails its checksum when recovery
-   reads it back; a corrupted record (bit rot, a misdirected write) has its
-   stored checksum disagree with its contents.  Replay and compaction skip
-   both. *)
-type entry = { record : record; torn : bool; crc : string }
+(* One durable cell: the record's marshalled image, whether it is a
+   checkpoint, its validity, and the per-record checksum written alongside
+   it.  The disk holds bytes, not the live record: a stamp the owner has
+   since overwritten is not kept reachable, and nothing the node later
+   mutates can change what the log says.  A torn checkpoint is physically
+   present (the writer believed the sync succeeded) but fails its checksum
+   when recovery reads it back; a corrupted record (bit rot, a misdirected
+   write) has its stored checksum disagree with its image.  Replay and
+   compaction skip both. *)
+type entry = { image : string; checkpoint : bool; torn : bool; crc : string }
 
-(* The checksum covers the record's full marshalled image, so any field
-   damage is detected — the simulated stand-in for a real CRC32C. *)
-let checksum (record : record) = Digest.string (Marshal.to_string record [])
-
-(* One node's log: entries newest-first (append is a cons), with lifetime
-   counters that survive compaction. *)
+(* One node's log: entries newest-first (append is a cons), the number of
+   entries physically present, and lifetime counters that survive
+   compaction. *)
 type log = {
   log_node : int;
   mutable entries : entry list; (* newest first *)
+  mutable live : int; (* List.length entries *)
   mutable appends : int;
   mutable checkpoints : int;
   mutable torn_cps : int;
@@ -92,6 +93,7 @@ let attach (disk : Disk.t) ~node =
           {
             log_node = node;
             entries = [];
+            live = 0;
             appends = 0;
             checkpoints = 0;
             torn_cps = 0;
@@ -115,24 +117,33 @@ let sync t =
     raise (Sync_failed t.log.log_node)
   end
 
-(* The checksum that lands on disk: correct unless a corruption fault is
-   armed, in which case the stored image is silently damaged — the writer
-   sees success, and only a recovery-time checksum walk can tell. *)
-let stored_crc t record =
-  let crc = checksum record in
-  if t.disk.Disk.corrupt_records > 0 then begin
-    t.disk.Disk.corrupt_records <- t.disk.Disk.corrupt_records - 1;
-    t.disk.Disk.corruptions <- t.disk.Disk.corruptions + 1;
-    String.map (fun c -> Char.chr (Char.code c lxor 0xff)) crc
-  end
-  else crc
+(* Marshal [record] once: the image is what lands on disk, and its digest
+   is the checksum stored beside it — the simulated stand-in for a real
+   CRC32C, covering every field.  The stored checksum is correct unless a
+   corruption fault is armed, in which case it silently disagrees with the
+   image: the writer sees success, and only a recovery-time checksum walk
+   can tell. *)
+let write_entry t ~torn record =
+  let image = Marshal.to_string record [] in
+  let crc = Digest.string image in
+  let crc =
+    if t.disk.Disk.corrupt_records > 0 then begin
+      t.disk.Disk.corrupt_records <- t.disk.Disk.corrupt_records - 1;
+      t.disk.Disk.corruptions <- t.disk.Disk.corruptions + 1;
+      String.map (fun c -> Char.chr (Char.code c lxor 0xff)) crc
+    end
+    else crc
+  in
+  let checkpoint = match record with Checkpoint _ -> true | _ -> false in
+  t.log.entries <- { image; checkpoint; torn; crc } :: t.log.entries;
+  t.log.live <- t.log.live + 1
 
 let append t record =
   sync t;
   (match record with
   | Checkpoint _ -> invalid_arg "Wal.append: use Wal.checkpoint for snapshots"
   | _ -> ());
-  t.log.entries <- { record; torn = false; crc = stored_crc t record } :: t.log.entries;
+  write_entry t ~torn:false record;
   t.log.appends <- t.log.appends + 1
 
 let checkpoint t snapshot =
@@ -144,16 +155,20 @@ let checkpoint t snapshot =
     end
     else false
   in
-  let record = Checkpoint snapshot in
-  t.log.entries <- { record; torn; crc = stored_crc t record } :: t.log.entries;
+  write_entry t ~torn (Checkpoint snapshot);
   t.log.checkpoints <- t.log.checkpoints + 1;
   if torn then t.log.torn_cps <- t.log.torn_cps + 1
 
-(* Validity at recovery time: not torn, and the stored checksum matches the
-   record's contents. *)
-let is_valid e = (not e.torn) && String.equal e.crc (checksum e.record)
+let crc_matches e = String.equal e.crc (Digest.string e.image)
 
-let is_anchor e = is_valid e && match e.record with Checkpoint _ -> true | _ -> false
+(* Validity at recovery time: not torn, and the stored checksum matches the
+   image. *)
+let is_valid e = (not e.torn) && crc_matches e
+
+(* The flag first: finding the anchor checksums only checkpoints. *)
+let is_anchor e = e.checkpoint && is_valid e
+
+let decode e : record = Marshal.from_string e.image 0
 
 (* Distance (in entries) from the head to the newest complete checkpoint —
    the recovery anchor.  [None] when no complete checkpoint exists. *)
@@ -170,14 +185,13 @@ let replay t =
     | None -> t.log.entries
     | Some i -> List.filteri (fun j _ -> j <= i) t.log.entries
   in
-  suffix |> List.filter is_valid |> List.rev_map (fun e -> e.record)
+  List.fold_left (fun acc e -> if is_valid e then decode e :: acc else acc) [] suffix
 
 let corrupted_records t =
-  List.length
-    (List.filter (fun e -> (not e.torn) && not (String.equal e.crc (checksum e.record))) t.log.entries)
+  List.length (List.filter (fun e -> (not e.torn) && not (crc_matches e)) t.log.entries)
 
 let records_since_checkpoint t =
-  match anchor_index t with None -> List.length t.log.entries | Some i -> i
+  match anchor_index t with None -> t.log.live | Some i -> i
 
 let compact ?(extra = 0) t =
   if extra < 0 then invalid_arg "Wal.compact: extra must be >= 0";
@@ -185,15 +199,16 @@ let compact ?(extra = 0) t =
   | None -> 0
   | Some i ->
       let keep = max 0 (i + 1 - extra) in
-      let dropped = List.length t.log.entries - keep in
+      let dropped = t.log.live - keep in
       if dropped > 0 then begin
         t.log.entries <- List.filteri (fun j _ -> j < keep) t.log.entries;
+        t.log.live <- keep;
         t.log.truncated <- t.log.truncated + dropped;
         t.log.compactions <- t.log.compactions + 1
       end;
       dropped
 
-let length t = List.length t.log.entries
+let length t = t.log.live
 
 let appends t = t.log.appends
 

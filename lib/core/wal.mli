@@ -10,7 +10,11 @@
 
     The "disk" is an in-memory store shared by all nodes of a cluster that
     survives {!Node.reset_volatile} — the simulated analogue of stable
-    storage.  Sync faults can be injected ({!Disk.fail_next_syncs}) to
+    storage.  Like a real disk it holds bytes: each record is stored as its
+    marshalled image beside a checksum of that image, never as the live
+    value, so a log entry pins no clock the node has since overwritten and
+    cannot change when the node mutates its own state.  {!replay} verifies
+    each image's checksum and decodes it into fresh values.  Sync faults can be injected ({!Disk.fail_next_syncs}) to
     exercise the append error path: a failed append raises {!Sync_failed}
     and logs nothing, modelling a full or failing device.
 
@@ -139,7 +143,8 @@ val corrupted_records : t -> int
     {!torn_checkpoints}). *)
 
 val length : t -> int
-(** Entries physically in the log (torn checkpoints included). *)
+(** Entries physically in the log (torn checkpoints included).  O(1): a
+    counter kept by {!append}, {!checkpoint} and {!compact}. *)
 
 val records_since_checkpoint : t -> int
 (** Entries newer than the recovery anchor — the suffix replay must apply

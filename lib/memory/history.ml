@@ -221,30 +221,81 @@ let parse_exn text =
 module Recorder = struct
   type history = t
 
-  type t = { rows : Op.t list array; counts : int array }
+  (* Every op is held once: [rows.(pid)] is that process's ops in program
+     order, valid up to [counts.(pid)].  Completion order is kept as the
+     completing pid, one int per op, with the matching start/finish times in
+     unboxed float arrays; [timed_history] rebuilds each op from its row.
+     All buffers start empty and double when full. *)
+  type t = {
+    rows : Op.t array array;
+    counts : int array;
+    mutable order : int array; (* completing pid, oldest first *)
+    mutable starts : Float.Array.t;
+    mutable finishes : Float.Array.t;
+    mutable total : int;
+  }
 
   let create ~processes =
     if processes < 1 then invalid_arg "Recorder.create: need at least one process";
-    { rows = Array.make processes []; counts = Array.make processes 0 }
+    {
+      rows = Array.make processes [||];
+      counts = Array.make processes 0;
+      order = [||];
+      starts = Float.Array.create 0;
+      finishes = Float.Array.create 0;
+      total = 0;
+    }
 
-  let next_index t pid =
-    let index = t.counts.(pid) in
+  let grown len = max 16 (2 * len)
+
+  let record t ~start ~finish (op : Op.t) =
+    let pid = op.Op.pid and index = op.Op.index in
+    let row = t.rows.(pid) in
+    if index = Array.length row then begin
+      let bigger = Array.make (grown index) op in
+      Array.blit row 0 bigger 0 index;
+      t.rows.(pid) <- bigger
+    end
+    else row.(index) <- op;
     t.counts.(pid) <- index + 1;
-    index
-
-  let record_read t ~pid ~loc ~value ~from =
-    let index = next_index t pid in
-    let op = Op.read ~pid ~index ~loc ~value ~from in
-    t.rows.(pid) <- op :: t.rows.(pid);
+    let n = t.total in
+    if n = Array.length t.order then begin
+      let cap = grown n in
+      let order = Array.make cap 0 in
+      let starts = Float.Array.create cap and finishes = Float.Array.create cap in
+      Array.blit t.order 0 order 0 n;
+      Float.Array.blit t.starts 0 starts 0 n;
+      Float.Array.blit t.finishes 0 finishes 0 n;
+      t.order <- order;
+      t.starts <- starts;
+      t.finishes <- finishes
+    end;
+    t.order.(n) <- pid;
+    Float.Array.set t.starts n start;
+    Float.Array.set t.finishes n finish;
+    t.total <- n + 1;
     op
 
-  let record_write t ~pid ~loc ~value ~wid =
-    let index = next_index t pid in
-    let op = Op.write ~pid ~index ~loc ~value ~wid in
-    t.rows.(pid) <- op :: t.rows.(pid);
-    op
+  let record_read ?(start = 0.0) ?(finish = 0.0) t ~pid ~loc ~value ~from =
+    record t ~start ~finish (Op.read ~pid ~index:t.counts.(pid) ~loc ~value ~from)
 
-  let history t = Array.map (fun row -> Array.of_list (List.rev row)) t.rows
+  let record_write ?(start = 0.0) ?(finish = 0.0) t ~pid ~loc ~value ~wid =
+    record t ~start ~finish (Op.write ~pid ~index:t.counts.(pid) ~loc ~value ~wid)
 
-  let op_count t = Array.fold_left ( + ) 0 t.counts
+  let history t = Array.mapi (fun pid row -> Array.sub row 0 t.counts.(pid)) t.rows
+
+  (* Walk completions newest-first, so each pid's ops come off the end of
+     its row and the list is built by consing. *)
+  let timed_history t =
+    let next = Array.copy t.counts in
+    let acc = ref [] in
+    for k = t.total - 1 downto 0 do
+      let pid = t.order.(k) in
+      next.(pid) <- next.(pid) - 1;
+      let op = t.rows.(pid).(next.(pid)) in
+      acc := (op, Float.Array.get t.starts k, Float.Array.get t.finishes k) :: !acc
+    done;
+    !acc
+
+  let op_count t = t.total
 end

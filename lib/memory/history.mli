@@ -43,16 +43,41 @@ module Recorder : sig
   type history = t
 
   type t
+  (** Holds each recorded op once, plus its completion position and
+      simulated start/finish times in unboxed arrays.  Buffers start empty
+      and grow on demand. *)
 
   val create : processes:int -> t
 
-  val record_read : t -> pid:int -> loc:Loc.t -> value:Value.t -> from:Wid.t -> Op.t
-  (** Returns the recorded operation (with its program-order index). *)
+  val record_read :
+    ?start:float ->
+    ?finish:float ->
+    t ->
+    pid:int ->
+    loc:Loc.t ->
+    value:Value.t ->
+    from:Wid.t ->
+    Op.t
+  (** Returns the recorded operation (with its program-order index).
+      [start] and [finish] (default [0.]) are the op's simulated invocation
+      and completion times; ops complete in the order they are recorded. *)
 
-  val record_write : t -> pid:int -> loc:Loc.t -> value:Value.t -> wid:Wid.t -> Op.t
+  val record_write :
+    ?start:float ->
+    ?finish:float ->
+    t ->
+    pid:int ->
+    loc:Loc.t ->
+    value:Value.t ->
+    wid:Wid.t ->
+    Op.t
 
   val history : t -> history
   (** Snapshot of everything recorded so far. *)
+
+  val timed_history : t -> (Op.t * float * float) list
+  (** Every recorded op with its [(start, finish)] times, in completion
+      (recording) order. *)
 
   val op_count : t -> int
 end

@@ -124,6 +124,68 @@ let test_of_ops_validates () =
        false
      with Invalid_argument _ -> true)
 
+(* Interleaved records from many pids: [timed_history] lists the ops in
+   completion order with start <= finish, and its per-pid projection is
+   exactly the [history] rows. *)
+let prop_timed_matches_rows =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 6)
+        (list_size (int_bound 120) (triple (int_bound 1000) bool (float_bound_inclusive 3.0))))
+  in
+  QCheck.Test.make ~name:"timed history projects onto the rows" ~count:200
+    (QCheck.make ~print:QCheck.Print.(pair int (list (triple int bool float))) gen)
+    (fun (processes, calls) ->
+      let r = History.Recorder.create ~processes in
+      let now = ref 0.0 in
+      let recorded =
+        List.mapi
+          (fun k (p, is_read, span) ->
+            let pid = p mod processes in
+            let start = !now in
+            let finish = start +. span in
+            now := !now +. 0.5;
+            let loc = Loc.indexed "x" (k mod 3) in
+            let op =
+              if is_read then
+                History.Recorder.record_read ~start ~finish r ~pid ~loc ~value:(Value.Int k)
+                  ~from:Wid.initial
+              else
+                History.Recorder.record_write ~start ~finish r ~pid ~loc ~value:(Value.Int k)
+                  ~wid:(Wid.make ~node:pid ~seq:k)
+            in
+            (op, start, finish))
+          calls
+      in
+      let timed = History.Recorder.timed_history r in
+      let rows = (History.Recorder.history r :> Op.t array array) in
+      let projected pid =
+        List.filter_map (fun (op, _, _) -> if op.Op.pid = pid then Some op else None) timed
+      in
+      List.length timed = History.Recorder.op_count r
+      && List.for_all2
+           (fun (op, s, f) (op', s', f') -> Op.equal op op' && s = s' && f = f' && s <= f)
+           timed recorded
+      && List.for_all
+           (fun pid -> List.equal Op.equal (projected pid) (Array.to_list rows.(pid)))
+           (List.init processes Fun.id))
+
+(* Each op is retained once: the recorder's footprint per op is the op
+   itself (record, boxed value, write id) plus a few words of order and
+   timing — not a second list of boxed (op, start, finish) tuples. *)
+let test_recorder_words_per_op () =
+  let processes = 10 and n = 1000 in
+  let r = History.Recorder.create ~processes in
+  let loc = Loc.named "x" in
+  for k = 0 to n - 1 do
+    let pid = k mod processes in
+    ignore
+      (History.Recorder.record_write ~start:(float_of_int k) ~finish:(float_of_int (k + 1)) r ~pid
+         ~loc ~value:(Value.Int k) ~wid:(Wid.make ~node:pid ~seq:k))
+  done;
+  let per_op = float_of_int (Obj.reachable_words (Obj.repr r)) /. float_of_int n in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per op, bound 20" per_op) true (per_op <= 20.0)
+
 let suite =
   [
     Alcotest.test_case "parse fig1" `Quick test_parse_fig1;
@@ -140,4 +202,6 @@ let suite =
     Alcotest.test_case "recorder" `Quick test_recorder;
     Alcotest.test_case "recorder snapshot" `Quick test_recorder_snapshot_isolated;
     Alcotest.test_case "of_ops validates" `Quick test_of_ops_validates;
+    QCheck_alcotest.to_alcotest ~long:false prop_timed_matches_rows;
+    Alcotest.test_case "recorder words per op" `Quick test_recorder_words_per_op;
   ]

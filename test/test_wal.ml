@@ -219,6 +219,173 @@ let test_sync_fault_loses_append () =
   Wal.append log (write 0 3);
   Alcotest.(check int) "append works after the faults" 2 (Wal.length log)
 
+(* The disk keeps marshalled images, not live records: every record kind
+   comes back from replay structurally equal and in append order. *)
+let every_kind () =
+  [
+    write 0 1;
+    Wal.Clock (Vclock.of_array [| 3; 1 |]);
+    Wal.View_change { base = 1; epoch = 2; serving = 0 };
+    Wal.Shadow_entry { base = 1; loc = v 4; entry = entry ~pid:1 ~count:2 7 };
+  ]
+
+let rich_snap () =
+  snap
+    ~served:[ (v 0, entry 1); (v 1, entry ~count:3 2) ]
+    ~shadows:[ (1, [ (v 4, entry ~pid:1 7) ]) ]
+    ()
+
+let test_image_round_trip () =
+  let disk = Wal.Disk.create () in
+  let log = Wal.attach disk ~node:0 in
+  List.iter (Wal.append log) (every_kind ());
+  Alcotest.(check bool) "no checkpoint: the whole log, in order" true
+    (Wal.replay log = every_kind ());
+  Wal.checkpoint log (rich_snap ());
+  List.iter (Wal.append log) (every_kind ());
+  Alcotest.(check bool) "snapshot with view and shadows, then the suffix" true
+    (Wal.replay log = Wal.Checkpoint (rich_snap ()) :: every_kind ())
+
+(* Replay decodes fresh values: nothing the node holds (or later mutates)
+   is shared with the log. *)
+let test_replay_does_not_alias () =
+  let disk = Wal.Disk.create () in
+  let log = Wal.attach disk ~node:0 in
+  let e = entry 5 in
+  let s = rich_snap () in
+  Wal.append log (Wal.Write { loc = v 0; entry = e });
+  Wal.checkpoint log s;
+  Wal.append log (Wal.Write { loc = v 1; entry = e });
+  match Wal.replay log with
+  | [ Wal.Checkpoint s'; Wal.Write { entry = e'; _ } ] ->
+      Alcotest.(check bool) "equal entry" true (e' = e);
+      Alcotest.(check bool) "entry not shared" false (e' == e);
+      Alcotest.(check bool) "stamp not shared" false (e'.Stamped.stamp == e.Stamped.stamp);
+      Alcotest.(check bool) "snapshot clock not shared" false
+        (s'.Wal.snap_clock == s.Wal.snap_clock)
+  | _ -> Alcotest.fail "unexpected replay shape"
+
+(* Torn and corrupted images are skipped exactly as before, and what
+   survives decodes to the records that were written. *)
+let test_faulty_images_skipped () =
+  let disk = Wal.Disk.create () in
+  let log = Wal.attach disk ~node:0 in
+  Wal.append log (write 0 1);
+  Wal.checkpoint log (rich_snap ());
+  Wal.append log (write 1 2);
+  Wal.Disk.corrupt_next_records disk 1;
+  Wal.append log (write 2 3);
+  Wal.Disk.tear_next_checkpoints disk 1;
+  Wal.checkpoint log (snap ());
+  Wal.append log (write 3 4);
+  Alcotest.(check int) "one corrupted image" 1 (Wal.corrupted_records log);
+  Alcotest.(check int) "one torn image" 1 (Wal.torn_checkpoints log);
+  Alcotest.(check bool) "anchor on the complete snapshot, skip both faults" true
+    (Wal.replay log = [ Wal.Checkpoint (rich_snap ()); write 1 2; write 3 4 ])
+
+(* The disk holds images, not boxed clocks: a log of [n] writes with
+   256-wide stamps costs well under the [n * 257] words the live stamps
+   alone would pin. *)
+let test_image_size_bound () =
+  let disk = Wal.Disk.create () in
+  let log = Wal.attach disk ~node:0 in
+  let n = 200 in
+  for k = 1 to n do
+    let stamp = Vclock.of_array (Array.init 256 (fun i -> k + i)) in
+    let entry = Stamped.make ~value:(Value.Int k) ~stamp ~wid:(Wid.make ~node:0 ~seq:k) in
+    Wal.append log (Wal.Write { loc = v k; entry })
+  done;
+  let words = Obj.reachable_words (Obj.repr log) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for %d records, bound %d" words n (n * 257 / 2))
+    true
+    (words < n * 257 / 2)
+
+(* Random append/checkpoint/compact/tear/corrupt sequences against a
+   list model: the O(1) counters equal a walk over the model log. *)
+type step = Append | Checkpoint | Compact | Tear of int | Corrupt of int
+
+let gen_step =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, return Append);
+        (3, return Checkpoint);
+        (2, return Compact);
+        (1, map (fun n -> Tear n) (int_bound 2));
+        (1, map (fun n -> Corrupt n) (int_bound 2));
+      ])
+
+let show_step = function
+  | Append -> "append"
+  | Checkpoint -> "checkpoint"
+  | Compact -> "compact"
+  | Tear n -> Printf.sprintf "tear %d" n
+  | Corrupt n -> Printf.sprintf "corrupt %d" n
+
+(* One model cell, newest first: is it a checkpoint, and is it valid. *)
+type cell = { cp : bool; valid : bool }
+
+let prop_counters_match_walk =
+  QCheck.Test.make ~name:"wal counters equal a list walk" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list show_step)
+       QCheck.Gen.(list_size (int_bound 60) gen_step))
+    (fun steps ->
+      let disk = Wal.Disk.create () in
+      let log = Wal.attach disk ~node:0 in
+      let model = ref [] and tears = ref 0 and corrupts = ref 0 in
+      let take r = if !r > 0 then (decr r; true) else false in
+      let anchor () =
+        let rec find i = function
+          | [] -> None
+          | c :: rest -> if c.cp && c.valid then Some i else find (i + 1) rest
+        in
+        find 0 !model
+      in
+      let agrees () =
+        let len = List.length !model in
+        let since = match anchor () with None -> len | Some i -> i in
+        let suffix = List.filteri (fun j _ -> j <= since) !model in
+        Wal.length log = len
+        && Wal.length log = Wal.appends log + Wal.checkpoints log - Wal.truncated log
+        && Wal.records_since_checkpoint log = since
+        && List.length (Wal.replay log) = List.length (List.filter (fun c -> c.valid) suffix)
+      in
+      let push cell =
+        model := cell :: !model;
+        true
+      in
+      List.for_all
+        (fun step ->
+          let step_ok =
+            match step with
+            | Append ->
+                Wal.append log (write 0 1);
+                push { cp = false; valid = not (take corrupts) }
+            | Checkpoint ->
+                Wal.checkpoint log (snap ());
+                let torn = take tears in
+                let corrupt = take corrupts in
+                push { cp = true; valid = not (torn || corrupt) }
+            | Compact ->
+                let dropped = Wal.compact log in
+                let keep = match anchor () with None -> List.length !model | Some i -> i + 1 in
+                let expected = List.length !model - keep in
+                model := List.filteri (fun j _ -> j < keep) !model;
+                dropped = expected
+            | Tear n ->
+                Wal.Disk.tear_next_checkpoints disk n;
+                tears := n;
+                true
+            | Corrupt n ->
+                Wal.Disk.corrupt_next_records disk n;
+                corrupts := n;
+                true
+          in
+          step_ok && agrees ())
+        steps)
+
 let suite =
   [
     Alcotest.test_case "append/replay order" `Quick test_append_replay_order;
@@ -232,4 +399,9 @@ let suite =
       test_corrupted_checkpoint_falls_back;
     Alcotest.test_case "append rejects checkpoint" `Quick test_append_rejects_checkpoint_record;
     Alcotest.test_case "sync fault loses append" `Quick test_sync_fault_loses_append;
+    Alcotest.test_case "image round trip" `Quick test_image_round_trip;
+    Alcotest.test_case "replay does not alias" `Quick test_replay_does_not_alias;
+    Alcotest.test_case "faulty images skipped" `Quick test_faulty_images_skipped;
+    Alcotest.test_case "image size bound" `Quick test_image_size_bound;
+    QCheck_alcotest.to_alcotest ~long:false prop_counters_match_walk;
   ]
