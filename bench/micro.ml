@@ -106,40 +106,6 @@ let bench_step_hb_tick =
          now := !now +. 0.001;
          ignore (P.step st (P.Hb_tick { node = 0; now = !now }))))
 
-(* The flattened data path on exactly the shape of [bench_step_owner_write]
-   (2 nodes, one location): the tentpole's >=5x claim is this pair's ratio.
-   Interning, arena sizing, and owner layout happen once outside the staged
-   closure; the measured step allocates nothing. *)
-let bench_flat_owner_write =
-  let module F = Dsm_protocol.Flat in
-  let interner = Dsm_memory.Loc.Interner.create () in
-  let loc = Dsm_memory.Loc.Interner.intern interner (Dsm_memory.Loc.indexed "v" 0) in
-  let st = F.create ~nodes:2 ~locs:1 ~owner:[| 0 |] () in
-  Test.make ~name:"flat: owner write (2 nodes)"
-    (Staged.stage (fun () -> F.owner_write st ~node:0 ~loc ~value:1))
-
-(* One full remote-write round trip on the flat path: writer stamps with its
-   own clock row, owner certifies (merge + policy + invalidation pass),
-   writer adopts the certified entry.  Three services per iteration. *)
-let bench_flat_remote_write_cycle =
-  let module F = Dsm_protocol.Flat in
-  let st = F.create ~nodes:4 ~locs:8 ~owner:(Array.init 8 (fun l -> l mod 4)) () in
-  let clock = F.clock_arena st in
-  let stamps = F.stamp_arena st in
-  let i = ref 0 in
-  Test.make ~name:"flat: remote write cycle (4 nodes)"
-    (Staged.stage (fun () ->
-         incr i;
-         let l = !i land 7 in
-         let o = F.owner_of st l in
-         let w = (o + 1) land 3 in
-         Vclock.Flat.bump clock ~off:(F.clock_off st w) w;
-         F.certify st ~node:o ~loc:l ~value:!i ~wid_node:w ~wid_seq:!i ~stamp:clock
-           ~stamp_off:(F.clock_off st w);
-         F.adopt_write_reply st ~node:w ~loc:l ~value:(F.last_value st ~node:o)
-           ~wid_node:(F.last_wid_node st ~node:o) ~wid_seq:(F.last_wid_seq st ~node:o)
-           ~stamp:stamps ~stamp_off:(F.entry_off st ~node:o ~loc:l)))
-
 let tests =
   [
     bench_vclock_update;
@@ -152,8 +118,6 @@ let tests =
     bench_protocol_roundtrip;
     bench_step_owner_write;
     bench_step_hb_tick;
-    bench_flat_owner_write;
-    bench_flat_remote_write_cycle;
   ]
 
 let run () =

@@ -362,50 +362,44 @@ let bench_cmd =
   let module Partition = Dsm_apps.Partition_bench in
   let module Shard_bench = Dsm_apps.Shard_bench in
   let module Objects_bench = Dsm_apps.Objects_bench in
-  let module Core_bench = Dsm_apps.Core_bench in
   let which =
     Arg.(value
          & pos 0
              (enum
                 [ ("transport", `Transport); ("recovery", `Recovery);
                   ("partition", `Partition); ("shard", `Shard);
-                  ("objects", `Objects); ("core", `Core) ])
+                  ("objects", `Objects) ])
              `Transport
          & info [] ~docv:"BENCH"
              ~doc:"Which benchmark to run: transport (batching on vs off), recovery \
                    (whole-cluster restart replay with vs without checkpointing), \
                    partition (majority-side availability through a quorum-fenced \
                    partition window), shard (full vs partial replication on \
-                   messages/op and metadata bytes/op at 16-64 nodes), objects \
-                   (wire cost and checker verdicts per Causal_object instance), or \
-                   core (flat data path vs Protocol.step, the domain-parallel \
-                   engine at 1/2/4 domains, and windowed-checker overhead).")
+                   messages/op and metadata bytes/op at 16-64 nodes), or objects \
+                   (wire cost and checker verdicts per Causal_object instance).")
   in
   let quick =
     Arg.(value & flag
          & info [ "quick" ]
-             ~doc:"Smaller grid: 3 seeds instead of 10 (transport, partition), or a \
-                   2-point size grid with 10 power cycles (recovery).  The CI bench \
-                   jobs use this.")
+             ~doc:"Smaller grid: 3 seeds instead of 10 (transport, partition), a \
+                   2-point size grid with 10 power cycles (recovery), 16 and 64 \
+                   nodes at 8 ops per client (shard), or 3 processes and 3 update \
+                   rounds (objects).  The CI bench jobs use this.")
   in
   let seeds =
     Arg.(value & opt (some (list int)) None
          & info [ "seeds" ] ~docv:"S1,S2,..."
-             ~doc:"Explicit seed list; overrides the quick/full default (transport and \
-                   partition only).")
+             ~doc:"Explicit seed list; overrides the quick/full default for transport \
+                   and partition.  Shard and objects run the first seed only \
+                   (default 1); recovery ignores it.")
   in
   let out =
     Arg.(value & opt (some string) None
          & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Where to write the JSON result (default BENCH_transport.json or \
-                   BENCH_recovery.json; \"-\" prints to stdout only).")
-  in
-  let micro_only =
-    Arg.(value & flag
-         & info [ "micro-only" ]
-             ~doc:"Core bench only: run just the flat-vs-step microbenchmark and its \
-                   >=5x / ALLOC=0 gate, skipping the sim and checker cells.  The \
-                   blocking CI allocation-gate step uses this.")
+             ~doc:"Where to write the JSON result (default: BENCH_transport.json, \
+                   BENCH_recovery.json, BENCH_partition.json, BENCH_shard.json or \
+                   BENCH_objects.json, named after the bench; \"-\" prints to stdout \
+                   only).")
   in
   let write_json out ~default json =
     let out = Option.value out ~default in
@@ -416,7 +410,7 @@ let bench_cmd =
       Printf.printf "wrote %s\n" out
     end
   in
-  let run which quick seeds out micro_only =
+  let run which quick seeds out =
     match which with
     | `Transport ->
         let seeds = Option.map (List.map Int64.of_int) seeds in
@@ -462,23 +456,6 @@ let bench_cmd =
         (* The acceptance gate: every instance spec-legal, converged and
            healthy. *)
         if Objects_bench.healthy r then exit 0 else exit 1
-    | `Core when micro_only ->
-        let m = Core_bench.run_micro ~quick () in
-        Printf.printf "micro: step %.1f ns/op, flat %.1f ns/op — %.1fx (%.4f minor words/op)\n"
-          m.Core_bench.step_ns m.Core_bench.flat_ns m.Core_bench.speedup
-          m.Core_bench.flat_minor_words_per_op;
-        Printf.printf "gate (>=5x, <=0.01 words/op): %s\n"
-          (if Core_bench.micro_healthy m then "PASS" else "FAIL");
-        if Core_bench.micro_healthy m then exit 0 else exit 1
-    | `Core ->
-        let seed = match seeds with Some (s :: _) -> s | _ -> 1 in
-        let r = Core_bench.run ~quick ~seed () in
-        Format.printf "%a" Core_bench.pp r;
-        write_json out ~default:"BENCH_core.json" (Core_bench.to_json r);
-        (* The tentpole gates: >=5x flat-vs-step with ~0 allocs/op,
-           digest-identical runs across 1/2/4 domains, and checked
-           throughput at least half of unchecked. *)
-        if Core_bench.healthy r then exit 0 else exit 1
   in
   Cmd.v
     (Cmd.info "bench"
@@ -486,8 +463,13 @@ let bench_cmd =
              throughput, latency percentiles and logical-vs-physical message counts \
              with frame batching + ack coalescing on vs off (BENCH_transport.json); \
              $(b,recovery) measures whole-cluster restart replay with vs without \
-             checkpointing (BENCH_recovery.json)")
-    Term.(const run $ which $ quick $ seeds $ out $ micro_only)
+             checkpointing (BENCH_recovery.json); $(b,partition) measures \
+             majority-side availability through a quorum-fenced partition \
+             (BENCH_partition.json); $(b,shard) compares full and partial \
+             replication on messages/op and metadata bytes/op \
+             (BENCH_shard.json); $(b,objects) reports wire cost and checker \
+             verdicts per causal object instance (BENCH_objects.json)")
+    Term.(const run $ which $ quick $ seeds $ out)
 
 (* ------------------------------------------------------------------ *)
 (* mc                                                                  *)

@@ -42,45 +42,3 @@ module Table = Hashtbl.Make (struct
 
   let hash = hash
 end)
-
-(* {1 Interning}
-
-   The flat hot path indexes memory by dense location ids instead of
-   hashing structured locations on every step.  An interner is built once
-   per run (ids are assigned in first-intern order, so a fixed intern order
-   gives a stable layout); after the setup phase the hot loop only carries
-   ids and never allocates. *)
-
-module Interner = struct
-  type loc = t
-
-  type t = { ids : int Table.t; mutable rev : loc array; mutable n : int }
-
-  let dummy = Named "_"
-
-  let create ?(capacity = 64) () =
-    { ids = Table.create capacity; rev = Array.make (max capacity 1) dummy; n = 0 }
-
-  let count t = t.n
-
-  let intern t loc =
-    match Table.find_opt t.ids loc with
-    | Some id -> id
-    | None ->
-        let id = t.n in
-        if id >= Array.length t.rev then begin
-          let rev = Array.make (2 * Array.length t.rev) dummy in
-          Array.blit t.rev 0 rev 0 t.n;
-          t.rev <- rev
-        end;
-        t.rev.(id) <- loc;
-        t.n <- id + 1;
-        Table.replace t.ids loc id;
-        id
-
-  let find_opt t loc = Table.find_opt t.ids loc
-
-  let of_id t id =
-    if id < 0 || id >= t.n then invalid_arg "Loc.Interner.of_id: unknown id";
-    t.rev.(id)
-end

@@ -36,25 +36,3 @@ module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
 
 module Table : Hashtbl.S with type key = t
-
-(** Dense int ids for locations, built once per run: the flat hot path
-    ({!Dsm_protocol.Flat}) carries ids instead of hashing structured
-    locations per step.  Ids are assigned in first-intern order and are
-    stable for the interner's lifetime. *)
-module Interner : sig
-  type loc = t
-
-  type t
-
-  val create : ?capacity:int -> unit -> t
-
-  val intern : t -> loc -> int
-  (** Existing id, or the next dense id for a new location. *)
-
-  val find_opt : t -> loc -> int option
-
-  val of_id : t -> int -> loc
-  (** Raises [Invalid_argument] on an id never handed out. *)
-
-  val count : t -> int
-end

@@ -60,62 +60,6 @@ let pp ppf vt =
 
 let to_string vt = Format.asprintf "%a" pp vt
 
-(* {1 Flat windows}
-
-   The hot path (Dsm_protocol.Flat) stores many clocks side by side in one
-   preallocated [int array] and works on [dim]-wide windows starting at a
-   word offset.  Every operation here is in-place or a pure fold: none
-   allocates, which is what the microbench ALLOC=0 gate measures.  Bounds
-   are the caller's contract — these run inside loops already bounded by the
-   arena layout, and [Array.get]/[set] still check each access. *)
-
-module Flat = struct
-  let merge_into ~dst ~dst_off ~src ~src_off ~dim =
-    for i = 0 to dim - 1 do
-      let s : int = src.(src_off + i) in
-      if s > dst.(dst_off + i) then dst.(dst_off + i) <- s
-    done
-
-  let blit ~src ~src_off ~dst ~dst_off ~dim = Array.blit src src_off dst dst_off dim
-
-  let bump a ~off i = a.(off + i) <- a.(off + i) + 1
-
-  let fill_zero a ~off ~dim = Array.fill a off dim 0
-
-  (* [Before]/[After]/[Equal]/[Concurrent] over two windows, returned as the
-     copying API's [order] so agreement tests are direct. *)
-  let compare_vt a ~a_off b ~b_off ~dim =
-    let a_le = ref true and b_le = ref true in
-    for i = 0 to dim - 1 do
-      if a.(a_off + i) > b.(b_off + i) then a_le := false;
-      if b.(b_off + i) > a.(a_off + i) then b_le := false
-    done;
-    match (!a_le, !b_le) with
-    | true, true -> Equal
-    | true, false -> Before
-    | false, true -> After
-    | false, false -> Concurrent
-
-  let lt a ~a_off b ~b_off ~dim =
-    let a_le = ref true and b_gt = ref false in
-    let i = ref 0 in
-    while !a_le && !i < dim do
-      let x = a.(a_off + !i) and y = b.(b_off + !i) in
-      if x > y then a_le := false else if y > x then b_gt := true;
-      i := !i + 1
-    done;
-    !a_le && !b_gt
-
-  let leq a ~a_off b ~b_off ~dim =
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < dim do
-      if a.(a_off + !i) > b.(b_off + !i) then ok := false;
-      i := !i + 1
-    done;
-    !ok
-end
-
 let total_compare a b =
   check_dim a b "Vclock.total_compare";
   let rec go i =

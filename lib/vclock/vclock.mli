@@ -64,28 +64,3 @@ val total_compare : t -> t -> int
 (** An arbitrary total order extending the partial order (lexicographic);
     usable as a [Map]/[Set] comparator and for deterministic tie-breaking
     between concurrent stamps. *)
-
-(** Allocation-free operations over clocks stored as [dim]-wide windows of
-    a caller-owned flat [int array] (an arena of many clocks side by side).
-    The hot path ({!Dsm_protocol.Flat}) preallocates its arenas once per
-    run and reuses them across steps; nothing here allocates — the property
-    tests pin each operation to its copying counterpart above, and the
-    microbench ALLOC=0 gate pins the no-allocation claim. *)
-module Flat : sig
-  val merge_into : dst:int array -> dst_off:int -> src:int array -> src_off:int -> dim:int -> unit
-  (** In-place component-wise maximum: [dst := update(dst, src)]. *)
-
-  val blit : src:int array -> src_off:int -> dst:int array -> dst_off:int -> dim:int -> unit
-
-  val bump : int array -> off:int -> int -> unit
-  (** [bump a ~off i] increments component [i] of the window at [off]. *)
-
-  val fill_zero : int array -> off:int -> dim:int -> unit
-
-  val compare_vt : int array -> a_off:int -> int array -> b_off:int -> dim:int -> order
-
-  val lt : int array -> a_off:int -> int array -> b_off:int -> dim:int -> bool
-  (** Strictly before on the product order — agrees with {!Vclock.lt}. *)
-
-  val leq : int array -> a_off:int -> int array -> b_off:int -> dim:int -> bool
-end

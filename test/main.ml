@@ -10,7 +10,6 @@ let () =
       ("table-csv", Test_table_csv.suite);
       ("vclock", Test_vclock.suite);
       ("engine", Test_engine.suite);
-      ("par-engine", Test_par_engine.suite);
       ("proc", Test_proc.suite);
       ("network", Test_network.suite);
       ("reliable", Test_reliable.suite);
@@ -20,7 +19,6 @@ let () =
       ("history", Test_history.suite);
       ("policy-config", Test_policy_config.suite);
       ("node", Test_node.suite);
-      ("flat", Test_flat.suite);
       ("protocol", Test_protocol.suite);
       ("mc", Test_mc.suite);
       ("causal-cluster", Test_causal_cluster.suite);

@@ -113,31 +113,9 @@ let test_owner_range_check () =
        false
      with Failure _ -> true)
 
-let test_loc_interner () =
-  let module I = Dsm_memory.Loc.Interner in
-  let i = I.create ~capacity:2 () in
-  let a = Dsm_memory.Loc.indexed "x" 0 in
-  let b = Dsm_memory.Loc.cell "d" 1 2 in
-  Alcotest.(check int) "first id" 0 (I.intern i a);
-  Alcotest.(check int) "second id" 1 (I.intern i b);
-  Alcotest.(check int) "idempotent" 0 (I.intern i a);
-  Alcotest.(check int) "count" 2 (I.count i);
-  (* Growth past the initial capacity keeps earlier ids stable. *)
-  for k = 2 to 40 do
-    Alcotest.(check int) "dense" k (I.intern i (Dsm_memory.Loc.indexed "g" k))
-  done;
-  Alcotest.(check bool) "of_id roundtrip" true (Dsm_memory.Loc.equal a (I.of_id i 0));
-  Alcotest.(check bool) "of_id roundtrip 2" true (Dsm_memory.Loc.equal b (I.of_id i 1));
-  Alcotest.(check (option int)) "find_opt" (Some 1) (I.find_opt i b);
-  Alcotest.(check (option int)) "find_opt miss" None
-    (I.find_opt i (Dsm_memory.Loc.named "zz"));
-  Alcotest.check_raises "of_id range" (Invalid_argument "Loc.Interner.of_id: unknown id")
-    (fun () -> ignore (I.of_id i 99))
-
 let suite =
   [
     Alcotest.test_case "loc to_string" `Quick test_loc_to_string;
-    Alcotest.test_case "loc interner" `Quick test_loc_interner;
     Alcotest.test_case "loc roundtrip" `Quick test_loc_of_string_roundtrip;
     Alcotest.test_case "loc fallback" `Quick test_loc_of_string_fallback;
     Alcotest.test_case "loc compare" `Quick test_loc_compare_total;

@@ -90,9 +90,41 @@ let test_crashed_nodes_drop () =
   let _, acts = P.step st (P.Hb_tick { node = 2; now = 2.0 }) in
   Alcotest.(check bool) "tick at crashed node does nothing" true (acts = [])
 
+let owner_write_words ~nodes =
+  (* Minor-heap words per owner write on a pre-built state: the step the
+     shell runs for every local write to an owned location. *)
+  let st =
+    P.create
+      ~owner:(Dsm_memory.Owner.by_index ~nodes)
+      ~config:Dsm_protocol.Config.default ~now:0.0 ()
+  in
+  let loc = Dsm_memory.Loc.indexed "v" 0 in
+  let step () =
+    ignore
+      (P.step st (P.Owner_write { node = 0; loc; value = Dsm_memory.Value.Int 1; writer = 0 }))
+  in
+  for _ = 1 to 1_000 do step () done;
+  let steps = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to steps do step () done;
+  (Gc.minor_words () -. before) /. float_of_int steps
+
+let test_owner_write_allocation () =
+  (* The allocation bound on the shipped hot path.  Each bound is the
+     measured cost (OCaml 5.1, dev profile), so it may be lowered, never
+     raised.  The 256-node figure grows with the n-wide writestamp. *)
+  List.iter
+    (fun (nodes, bound) ->
+      let words = owner_write_words ~nodes in
+      if words > bound then
+        Alcotest.failf "owner write at %d nodes: %.2f minor words/op, bound %.0f" nodes
+          words bound)
+    [ (2, 74.0); (256, 328.0) ]
+
 let suite =
   [
     Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
     Alcotest.test_case "tracing transparent" `Quick test_tracing_transparent;
     Alcotest.test_case "crashed nodes drop" `Quick test_crashed_nodes_drop;
+    Alcotest.test_case "owner write allocation" `Quick test_owner_write_allocation;
   ]

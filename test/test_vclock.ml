@@ -133,59 +133,6 @@ let prop_update_idempotent =
       let a = Vclock.of_array a in
       Vclock.equal (Vclock.update a a) a)
 
-(* {2 Flat-window agreement}
-
-   The allocation-free flat ops are the hot path's substitute for the
-   copying API; each one must agree with its counterpart on random clocks.
-   Windows are planted at a nonzero offset inside a larger arena so an
-   off-by-one against the offset arithmetic can't hide. *)
-
-let flat_pair_arena (a, b) =
-  (* One arena holding garbage, then [a], then [b]: offsets 1 and 1+dim. *)
-  let dim = Array.length a in
-  let arena = Array.make (1 + (2 * dim) + 1) 999 in
-  Array.blit a 0 arena 1 dim;
-  Array.blit b 0 arena (1 + dim) dim;
-  (arena, 1, 1 + dim, dim)
-
-let prop_flat_compare_agrees =
-  QCheck.Test.make ~name:"flat compare agrees with compare_vt" ~count:300
-    (QCheck.pair gen_clock gen_clock)
-    (fun (a, b) ->
-      let arena, ao, bo, dim = flat_pair_arena (a, b) in
-      Vclock.Flat.compare_vt arena ~a_off:ao arena ~b_off:bo ~dim
-      = Vclock.compare_vt (Vclock.of_array a) (Vclock.of_array b))
-
-let prop_flat_lt_leq_agree =
-  QCheck.Test.make ~name:"flat lt/leq agree with lt/leq" ~count:300
-    (QCheck.pair gen_clock gen_clock)
-    (fun (a, b) ->
-      let arena, ao, bo, dim = flat_pair_arena (a, b) in
-      let va = Vclock.of_array a and vb = Vclock.of_array b in
-      Vclock.Flat.lt arena ~a_off:ao arena ~b_off:bo ~dim = Vclock.lt va vb
-      && Vclock.Flat.leq arena ~a_off:ao arena ~b_off:bo ~dim = Vclock.leq va vb)
-
-let prop_flat_merge_agrees =
-  QCheck.Test.make ~name:"flat merge_into agrees with update" ~count:300
-    (QCheck.pair gen_clock gen_clock)
-    (fun (a, b) ->
-      let arena, ao, bo, dim = flat_pair_arena (a, b) in
-      Vclock.Flat.merge_into ~dst:arena ~dst_off:ao ~src:arena ~src_off:bo ~dim;
-      let expect = Vclock.to_array (Vclock.update (Vclock.of_array a) (Vclock.of_array b)) in
-      Array.sub arena ao dim = expect
-      && (* the source window and the guard words are untouched *)
-      Array.sub arena bo dim = b
-      && arena.(0) = 999
-      && arena.(Array.length arena - 1) = 999)
-
-let prop_flat_bump_agrees =
-  QCheck.Test.make ~name:"flat bump agrees with increment" ~count:300 gen_clock (fun a ->
-      let dim = Array.length a in
-      let arena = Array.make (dim + 2) 999 in
-      Array.blit a 0 arena 1 dim;
-      Vclock.Flat.bump arena ~off:1 2;
-      Array.sub arena 1 dim = Vclock.to_array (Vclock.increment (Vclock.of_array a) 2))
-
 let suite =
   [
     Alcotest.test_case "zero" `Quick test_zero;
@@ -208,8 +155,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_update_commutative;
     QCheck_alcotest.to_alcotest prop_update_associative;
     QCheck_alcotest.to_alcotest prop_update_idempotent;
-    QCheck_alcotest.to_alcotest prop_flat_compare_agrees;
-    QCheck_alcotest.to_alcotest prop_flat_lt_leq_agree;
-    QCheck_alcotest.to_alcotest prop_flat_merge_agrees;
-    QCheck_alcotest.to_alcotest prop_flat_bump_agrees;
   ]
