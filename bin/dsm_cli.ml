@@ -340,7 +340,8 @@ let chaos_cmd =
     Format.printf "%a" Chaos.pp_report r;
     Printf.printf "health:            %s (gave_up %d, suspects %d, unsuspects %d)\n"
       (if Chaos.healthy r then "OK" else "UNHEALTHY")
-      r.Chaos.transport.Dsm_net.Reliable.gave_up r.Chaos.suspects r.Chaos.unsuspects;
+      r.Chaos.transport.Dsm_net.Reliable.gave_up r.Chaos.stats.Dsm_causal.Node_stats.suspects
+      r.Chaos.stats.Dsm_causal.Node_stats.unsuspects;
     if Chaos.healthy r then exit 0 else exit 1
   in
   Cmd.v

@@ -78,6 +78,7 @@ let run_once ~reliability ~seed =
   Engine.run engine;
   Causal.shutdown c;
   let timed = Causal.timed_history c in
+  let stats = Causal.cluster_stats c in
   let acks =
     match Causal.reliable c with
     | Some r -> (Reliable.counters r).Reliable.acks
@@ -87,11 +88,11 @@ let run_once ~reliability ~seed =
     r_ops = List.length timed;
     r_sim_time = Engine.now engine;
     r_latencies = List.map (fun (_op, start, stop) -> stop -. start) timed;
-    r_logical = Causal.logical_messages c;
-    r_physical = Causal.physical_frames c;
-    r_retrans = Causal.retransmissions c;
+    r_logical = stats.Dsm_causal.Node_stats.logical_messages;
+    r_physical = stats.Dsm_causal.Node_stats.physical_frames;
+    r_retrans = stats.Dsm_causal.Node_stats.retransmissions;
     r_acks = acks;
-    r_rpc_timeouts = Causal.rpc_timeouts c;
+    r_rpc_timeouts = stats.Dsm_causal.Node_stats.rpc_timeouts;
     r_unfinished = List.length (Proc.unfinished_since sched);
   }
 

@@ -10,6 +10,7 @@ module Value = Dsm_memory.Value
 module Check = Dsm_checker.Causal_check
 module Online = Dsm_checker.Online
 module Trace = Dsm_causal.Trace
+module Node_stats = Dsm_causal.Node_stats
 module Op = Dsm_memory.Op
 module Prng = Dsm_util.Prng
 
@@ -48,20 +49,11 @@ type report = {
   ops : int;
   causal_ok : bool;
   sim_time : float;
-  messages : int;
-  logical_messages : int;
-  dropped : int;
-  duplicated : int;
   transport : Reliable.counters;
-  rpc_timeouts : int;
-  stale_replies : int;
   crashes : int;
-  suspects : int;
-  unsuspects : int;
-  takeovers : int;
   view : (int * int * int) list;
   unfinished : (string * float) list;
-  stats : Dsm_causal.Node_stats.cluster;
+  stats : Node_stats.cluster;
   online_checked : bool;
   online_violation : string option;
   notes : (string * string) list;
@@ -135,9 +127,12 @@ let make_cluster ~knobs ~seed ~owner ?config ?sharding sched =
   in
   (c, online)
 
-let build_report ~scenario ~sched ~engine ~crashes ~notes ?online c =
+(* [failures] are the processes that raised ([run_to_quiescence]); they
+   follow the scenario's own notes. *)
+let build_report ~scenario ~sched ~engine ~crashes ~notes ~failures ?online c =
   Causal.shutdown c;
   let history = Causal.history c in
+  let notes = notes @ List.map (fun (name, msg) -> ("failed:" ^ name, msg)) failures in
   let notes =
     match online with
     | None -> notes
@@ -160,29 +155,9 @@ let build_report ~scenario ~sched ~engine ~crashes ~notes ?online c =
       Option.bind online (fun ck ->
           Option.map (fun v -> v.Online.v_reason) (Online.first_violation ck));
     sim_time = Engine.now engine;
-    messages = Causal.messages_total c;
-    logical_messages = Causal.logical_messages c;
-    dropped = Causal.wire_dropped c;
-    duplicated = Causal.wire_duplicated c;
-    transport =
-      (match Causal.reliable c with
-      | Some r -> Reliable.counters r
-      | None ->
-          {
-            Reliable.sent = 0;
-            payloads = 0;
-            retransmissions = 0;
-            acks = 0;
-            dup_dropped = 0;
-            reordered = 0;
-            gave_up = 0;
-          });
-    rpc_timeouts = Causal.rpc_timeouts c;
-    stale_replies = Causal.stale_replies c;
+    (* [make_cluster] always layers the reliable transport. *)
+    transport = Reliable.counters (Option.get (Causal.reliable c));
     crashes;
-    suspects = Causal.suspect_events c;
-    unsuspects = Causal.unsuspect_events c;
-    takeovers = Causal.takeovers c;
     view = Causal.view c;
     unfinished = Proc.unfinished_since sched;
     notes;
@@ -217,8 +192,7 @@ let mix ?(knobs = default_knobs) ?(seed = 1L) ?(spec = Workload.default_spec) ()
             ~refresh:(fun l -> Causal.Mem.refresh h l)))
   done;
   let failures = run_to_quiescence engine sched in
-  let notes = List.map (fun (name, msg) -> ("failed:" ^ name, msg)) failures in
-  build_report ~scenario:"mix" ~sched ~engine ~crashes:0 ~notes ?online c
+  build_report ~scenario:"mix" ~sched ~engine ~crashes:0 ~notes:[] ~failures ?online c
 
 (* {1 Scenario: the Section 4.2 dictionary under loss} *)
 
@@ -268,11 +242,12 @@ let dictionary ?(knobs = default_knobs) ?(seed = 2L) ?(processes = 4) ?(rounds =
     Array.for_all (fun v -> List.sort compare v = List.sort compare views.(0)) views
   in
   let notes =
-    ("final_items", string_of_int (List.length views.(0)))
-    :: ("views_converged", string_of_bool converged)
-    :: List.map (fun (name, msg) -> ("failed:" ^ name, msg)) failures
+    [
+      ("final_items", string_of_int (List.length views.(0)));
+      ("views_converged", string_of_bool converged);
+    ]
   in
-  build_report ~scenario:"dictionary" ~sched ~engine ~crashes:0 ~notes ?online c
+  build_report ~scenario:"dictionary" ~sched ~engine ~crashes:0 ~notes ~failures ?online c
 
 (* {1 Scenario: the Figure 6 solver under loss} *)
 
@@ -304,11 +279,9 @@ let solver ?(knobs = default_knobs) ?(seed = 3L) ?(n = 6) ?(iters = 4) () =
     if Array.length !solution = n then Linalg.max_diff !solution reference else infinity
   in
   let notes =
-    ("max_diff", Printf.sprintf "%g" max_diff)
-    :: ("bit_exact", string_of_bool (max_diff = 0.0))
-    :: List.map (fun (name, msg) -> ("failed:" ^ name, msg)) failures
+    [ ("max_diff", Printf.sprintf "%g" max_diff); ("bit_exact", string_of_bool (max_diff = 0.0)) ]
   in
-  build_report ~scenario:"solver" ~sched ~engine ~crashes:0 ~notes ?online c
+  build_report ~scenario:"solver" ~sched ~engine ~crashes:0 ~notes ~failures ?online c
 
 (* {1 Scenario: crash-stop restart of a non-owner node}
 
@@ -381,12 +354,13 @@ let crash_restart ?(knobs = default_knobs) ?(seed = 4L) ?(clients = 3)
          done));
   let failures = run_to_quiescence engine sched in
   let notes =
-    ("victim", string_of_int victim)
-    :: ("victim_cache_after", string_of_int (Dsm_causal.Node.cache_size (Causal.node c victim)))
-    :: ("dropped_at_crashed", string_of_int (Causal.dropped_at_crashed c))
-    :: List.map (fun (name, msg) -> ("failed:" ^ name, msg)) failures
+    [
+      ("victim", string_of_int victim);
+      ("victim_cache_after", string_of_int (Dsm_causal.Node.cache_size (Causal.node c victim)));
+    ]
   in
-  build_report ~scenario:"crash-restart" ~sched ~engine ~crashes:!crashes ~notes ?online c
+  build_report ~scenario:"crash-restart" ~sched ~engine ~crashes:!crashes ~notes ~failures
+    ?online c
 
 (* {1 Scenarios: crash a serving owner, fail over to its backup}
 
@@ -476,18 +450,15 @@ let owner_crash_scenario ~scenario ~revive ?(knobs = default_knobs) ?(seed = 5L)
   let failures = run_to_quiescence engine sched in
   let victim_node = Causal.node c victim in
   let notes =
-    ("victim", string_of_int victim)
-    :: ("takeover_epoch", string_of_int (Causal.epoch_of c ~base:victim))
-    :: ("new_owner", string_of_int (Causal.serving_of c ~base:victim))
-    :: ("victim_demoted",
-        string_of_bool (Dsm_causal.Node.serving_of victim_node ~base:victim <> victim))
-    :: ("shadow_reads", string_of_int (Causal.shadow_reads c))
-    :: ("redirects", string_of_int (Causal.redirects c))
-    :: ("shadow_degraded", string_of_int (Causal.shadow_degraded c))
-    :: ("dropped_at_crashed", string_of_int (Causal.dropped_at_crashed c))
-    :: List.map (fun (name, msg) -> ("failed:" ^ name, msg)) failures
+    [
+      ("victim", string_of_int victim);
+      ("takeover_epoch", string_of_int (Causal.epoch_of c ~base:victim));
+      ("new_owner", string_of_int (Causal.serving_of c ~base:victim));
+      ( "victim_demoted",
+        string_of_bool (Dsm_causal.Node.serving_of victim_node ~base:victim <> victim) );
+    ]
   in
-  build_report ~scenario ~sched ~engine ~crashes:!crashes ~notes ?online c
+  build_report ~scenario ~sched ~engine ~crashes:!crashes ~notes ~failures ?online c
 
 let owner_crash ?knobs ?seed ?clients ?ops_per_client () =
   owner_crash_scenario ~scenario:"owner-crash" ~revive:false ?knobs ?seed ?clients
@@ -564,17 +535,12 @@ let power_failure ?(knobs = default_knobs) ?(seed = 6L) ?(clients = 4)
            done))
   done;
   let failures = run_to_quiescence engine sched in
-  let notes =
-    (* No [recovery_seconds] here: that figure is host time, and chaos
-       reports are bit-identical per seed.  [dsm bench recovery] owns the
-       timing measurements. *)
-    ("recoveries", string_of_int (Causal.recoveries c))
-    :: ("replayed_records", string_of_int (Causal.replayed_records c))
-    :: ("recovery_lines", string_of_int (Causal.recovery_lines c))
-    :: ("dropped_at_crashed", string_of_int (Causal.dropped_at_crashed c))
-    :: List.map (fun (name, msg) -> ("failed:" ^ name, msg)) failures
-  in
-  build_report ~scenario:"power-failure" ~sched ~engine ~crashes:!crashes ~notes ?online c
+  (* Recoveries, replayed records and recovery lines are in [stats].  Host
+     replay time ([Cluster.recovery_seconds]) is not reported: chaos
+     reports are bit-identical per seed, and [dsm bench recovery] owns the
+     timing measurements. *)
+  build_report ~scenario:"power-failure" ~sched ~engine ~crashes:!crashes ~notes:[] ~failures
+    ?online c
 
 (* {1 Scenarios: network partition and split-brain prevention}
 
@@ -700,15 +666,10 @@ let partition_scenario ~scenario ~minority ?(knobs = default_knobs) ?(seed = 7L)
     :: ("window_majority_attempts", string_of_int !maj_attempts)
     :: ("window_minority_ok", string_of_int !min_ok)
     :: ("window_minority_attempts", string_of_int !min_attempts)
-    :: ("partition_heals", string_of_int (Causal.partition_heals c))
-    :: ("votes_granted", string_of_int (Causal.votes_granted c))
-    :: ("degraded_refusals", string_of_int (Causal.degraded_refusals c))
-    :: ("resyncs", string_of_int (Causal.resyncs c))
     :: ("quorum", string_of_int (Causal.quorum c))
     :: Nemesis.notes nem
-    @ List.map (fun (name, msg) -> ("failed:" ^ name, msg)) failures
   in
-  build_report ~scenario ~sched ~engine ~crashes:(Nemesis.crashes nem) ~notes ?online c
+  build_report ~scenario ~sched ~engine ~crashes:(Nemesis.crashes nem) ~notes ~failures ?online c
 
 let partition ?knobs ?seed ?processes ?ops_per_phase () =
   partition_scenario ~scenario:"partition" ~minority:[ 0 ] ?knobs ?seed ?processes
@@ -853,12 +814,9 @@ let shard_scenario ?(knobs = default_knobs) ?(seed = 11L) ?(ops_per_phase = 3) (
     :: ("crash_shard2", pct 1 2)
     :: ("fault_isolated", string_of_bool isolated_ok)
     :: ("shard0_subscribers", shard0_subscribers)
-    :: ("votes_granted", string_of_int (Causal.votes_granted c))
-    :: ("partition_heals", string_of_int (Causal.partition_heals c))
     :: Nemesis.notes nem
-    @ List.map (fun (name, msg) -> ("failed:" ^ name, msg)) failures
   in
-  build_report ~scenario:"shard" ~sched ~engine ~crashes:(Nemesis.crashes nem) ~notes
+  build_report ~scenario:"shard" ~sched ~engine ~crashes:(Nemesis.crashes nem) ~notes ~failures
     ?online c
 
 let shard ?knobs ?seed ?ops_per_phase () = shard_scenario ?knobs ?seed ?ops_per_phase ()
@@ -1060,45 +1018,38 @@ let object_scenario ~scenario ~make ?(knobs = default_knobs) ?(seed = 12L)
     :: (match violations with
        | [] -> []
        | v :: _ -> [ ("object_violation", v.Dsm_checker.Obj_check.v_reason) ])
-    @ List.map (fun (name, msg) -> ("failed:" ^ name, msg)) failures
   in
-  let r = build_report ~scenario ~sched ~engine ~crashes:0 ~notes ?online c in
+  let r = build_report ~scenario ~sched ~engine ~crashes:0 ~notes ~failures ?online c in
   { r with causal_ok = r.causal_ok && obj_ok && converged }
 
-let scenarios =
+(* Every scenario by name, in presentation order, with its default sizes. *)
+let runners =
   [
-    "mix";
-    "dictionary";
-    "solver";
-    "crash-restart";
-    "owner-crash";
-    "failover";
-    "power-failure";
-    "partition";
-    "split-brain";
-    "shard";
+    ("mix", fun knobs seed -> mix ?knobs ?seed ());
+    ("dictionary", fun knobs seed -> dictionary ?knobs ?seed ());
+    ("solver", fun knobs seed -> solver ?knobs ?seed ());
+    ("crash-restart", fun knobs seed -> crash_restart ?knobs ?seed ());
+    ("owner-crash", fun knobs seed -> owner_crash ?knobs ?seed ());
+    ("failover", fun knobs seed -> failover ?knobs ?seed ());
+    ("power-failure", fun knobs seed -> power_failure ?knobs ?seed ());
+    ("partition", fun knobs seed -> partition ?knobs ?seed ());
+    ("split-brain", fun knobs seed -> split_brain ?knobs ?seed ());
+    ("shard", fun knobs seed -> shard ?knobs ?seed ());
   ]
-  @ List.map fst Objects.drivers
+  @ List.map
+      (fun (scenario, make) ->
+        (scenario, fun knobs seed -> object_scenario ~scenario ~make ?knobs ?seed ()))
+      Objects.drivers
+
+let scenarios = List.map fst runners
 
 let run ?knobs ?seed name =
-  match name with
-  | "mix" -> mix ?knobs ?seed ()
-  | "dictionary" -> dictionary ?knobs ?seed ()
-  | "solver" -> solver ?knobs ?seed ()
-  | "crash-restart" -> crash_restart ?knobs ?seed ()
-  | "owner-crash" -> owner_crash ?knobs ?seed ()
-  | "failover" -> failover ?knobs ?seed ()
-  | "power-failure" -> power_failure ?knobs ?seed ()
-  | "partition" -> partition ?knobs ?seed ()
-  | "split-brain" -> split_brain ?knobs ?seed ()
-  | "shard" -> shard ?knobs ?seed ()
-  | other -> (
-      match List.assoc_opt other Objects.drivers with
-      | Some make -> object_scenario ~scenario:other ~make ?knobs ?seed ()
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Chaos.run: unknown scenario %s (expected one of %s)" other
-               (String.concat ", " scenarios)))
+  match List.assoc_opt name runners with
+  | Some run -> run knobs seed
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Chaos.run: unknown scenario %s (expected one of %s)" name
+           (String.concat ", " scenarios))
 
 let pp_report ppf r =
   let line fmt = Format.fprintf ppf fmt in
@@ -1106,26 +1057,27 @@ let pp_report ppf r =
   line "recorded ops:      %d@." r.ops;
   line "causally correct:  %b@." r.causal_ok;
   line "sim time:          %.1f@." r.sim_time;
-  line "wire messages:     %d (dropped %d, duplicated %d)@." r.messages r.dropped
-    r.duplicated;
-  if r.logical_messages <> r.messages then
-    line "logical messages:  %d (%d physical frames on the wire)@." r.logical_messages
-      r.messages;
+  let s = r.stats in
+  line "wire messages:     %d (dropped %d, duplicated %d)@." s.Node_stats.physical_frames
+    s.wire_dropped s.wire_duplicated;
+  if s.logical_messages <> s.physical_frames then
+    line "logical messages:  %d (%d physical frames on the wire)@." s.logical_messages
+      s.physical_frames;
   line "transport:         %d payloads, %d rexmit, %d acks, %d dup-dropped, %d reordered, %d gave up@."
     r.transport.Reliable.payloads r.transport.Reliable.retransmissions
     r.transport.Reliable.acks r.transport.Reliable.dup_dropped
     r.transport.Reliable.reordered r.transport.Reliable.gave_up;
-  line "rpc timeouts:      %d (stale replies %d)@." r.rpc_timeouts r.stale_replies;
-  line "counters:          %a@." Dsm_causal.Node_stats.pp_cluster r.stats;
+  line "rpc timeouts:      %d (stale replies %d)@." s.rpc_timeouts s.stale_replies;
+  line "counters:          %a@." Node_stats.pp_cluster s;
   if r.online_checked then begin
     match r.online_violation with
     | None -> line "online check:      clean@."
     | Some reason -> line "online check:      VIOLATION — %s@." reason
   end;
   if r.crashes > 0 then line "crashes injected:  %d@." r.crashes;
-  if r.suspects > 0 || r.unsuspects > 0 || r.takeovers > 0 then
-    line "failover:          %d suspects, %d unsuspects, %d takeovers@." r.suspects
-      r.unsuspects r.takeovers;
+  if s.suspects > 0 || s.unsuspects > 0 || s.takeovers > 0 then
+    line "failover:          %d suspects, %d unsuspects, %d takeovers@." s.suspects
+      s.unsuspects s.takeovers;
   List.iter
     (fun (base, epoch, serving) ->
       line "view:              base %d served by %d under epoch %d@." base serving epoch)

@@ -58,20 +58,8 @@ type report = {
   causal_ok : bool;  (** {!Dsm_checker.Causal_check} verdict (histories over
                          6000 ops are assumed correct, as in {!Harness}) *)
   sim_time : float;
-  messages : int;  (** physical frames on the wire, including acks and
-                       retransmissions *)
-  logical_messages : int;
-      (** protocol payloads handed to the transport — the paper's
-          accounting unit, invariant under batching/ack coalescing *)
-  dropped : int;
-  duplicated : int;
   transport : Dsm_net.Reliable.counters;
-  rpc_timeouts : int;
-  stale_replies : int;
   crashes : int;  (** crash-stop events injected *)
-  suspects : int;  (** detector suspect transitions, all nodes *)
-  unsuspects : int;  (** detector recoveries from suspicion *)
-  takeovers : int;  (** ownership promotions performed by backups *)
   view : (int * int * int) list;
       (** final cluster-wide ownership view: [(base, epoch, serving)] for
           every base owner deposed by a takeover *)
@@ -79,16 +67,17 @@ type report = {
       (** processes left blocked at quiescence, with blocked-since times —
           must be empty for a healthy run *)
   stats : Dsm_causal.Node_stats.cluster;
-      (** every cluster counter in one record — what the health line
-          prints *)
+      (** every cluster counter in one record: wire and logical messages,
+          RPC timeouts, crash drops, failover, partition and recovery
+          counters — what the report and the health line print *)
   online_checked : bool;  (** the online checker ran during this scenario *)
   online_violation : string option;
       (** first violation the online checker flagged mid-run ([None] when
           clean or when [online_check] was off); ["online_ops"] /
           ["online_checks"] / ["online_edges"] notes record its work *)
-  notes : (string * string) list;  (** scenario-specific facts, including
-                                       ["failed:<proc>"] entries for any
-                                       process that raised *)
+  notes : (string * string) list;
+      (** scenario-specific facts that are not cluster counters, ending
+          with a ["failed:<proc>"] entry for any process that raised *)
 }
 
 val mix :
@@ -120,9 +109,9 @@ val owner_crash :
 (** Crash a {e serving owner} for good mid-workload.  Its designated backup
     (which shadows every acknowledged write) must suspect the silence,
     promote itself under epoch 1 and serve the clients' phase-2 operations
-    on the victim's locations; notes record the takeover epoch, the new
-    owner, and how many reads were served from shadow copies during the
-    outage.  Requires [clients >= 2] (the backup must not be the only other
+    on the victim's locations; notes record the takeover epoch and the new
+    owner, and [stats.shadow_reads] counts the reads served from shadow
+    copies during the outage.  Requires [clients >= 2] (the backup must not be the only other
     node doing work). *)
 
 val failover :
@@ -141,9 +130,10 @@ val power_failure :
     from its latest complete snapshot plus log suffix.  The combined
     phase-1/phase-2 history must remain causally correct — the
     WAL-before-reply discipline guarantees recovery restores the exact
-    durable frontier.  Notes record ["recoveries"], ["replayed_records"]
-    and ["recovery_lines"] — all seed-deterministic; host-time replay cost
-    is {!Dsm_apps.Recovery_bench}'s job, keeping this report bit-identical
+    durable frontier.  The [recoveries], [replayed_records] and
+    [recovery_lines] fields of [stats] count the recovery — all
+    seed-deterministic; host-time replay cost is
+    {!Dsm_apps.Recovery_bench}'s job, keeping this report bit-identical
     per seed. *)
 
 val partition :
@@ -156,8 +146,9 @@ val partition :
     serving — and the majority collects OWNER_VOTEs and promotes the
     designated backup over the victim's base; after the heal the deposed
     owner is demoted by gossip and reconciles via FRONTIER.  Notes record
-    ["refused_writes"], ["partition_heals"], ["votes_granted"],
-    ["resyncs"] and the nemesis log.  Requires [processes >= 3]. *)
+    ["refused_writes"], per-side availability inside the window and the
+    nemesis log; [stats] counts [partition_heals], [votes_granted] and
+    [resyncs].  Requires [processes >= 3]. *)
 
 val split_brain :
   ?knobs:knobs -> ?seed:int64 -> ?processes:int -> ?ops_per_phase:int -> unit -> report
@@ -169,7 +160,7 @@ val split_brain :
     which must have degraded on quorum loss for the combined history to
     stay causally correct — the split-brain the quorum canvass exists to
     prevent.  Both minority owners degrade and both un-degrade on heal
-    (["partition_heals"] >= 2; loss-induced transient degrades on the
+    ([stats.partition_heals] >= 2; loss-induced transient degrades on the
     majority side can add more). *)
 
 val shard :

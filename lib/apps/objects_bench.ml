@@ -39,14 +39,15 @@ let run_cell ~scenario ~make ~seed ~processes ~rounds =
   let knobs = { Chaos.default_knobs with Chaos.drop = 0.0; duplicate = 0.0 } in
   let r = Chaos.object_scenario ~scenario ~make ~knobs ~seed ~processes ~rounds () in
   let updates = processes * rounds in
+  let logical = r.Chaos.stats.Dsm_causal.Node_stats.logical_messages in
   {
     obj = scenario;
     processes;
     updates;
     queries = note_int r.Chaos.notes "object_queries";
     ops = r.Chaos.ops;
-    logical_messages = r.Chaos.logical_messages;
-    messages_per_update = float_of_int r.Chaos.logical_messages /. float_of_int updates;
+    logical_messages = logical;
+    messages_per_update = float_of_int logical /. float_of_int updates;
     object_ok = note_bool r.Chaos.notes "object_ok";
     converged = note_bool r.Chaos.notes "views_converged";
     healthy = Chaos.healthy r;

@@ -1,3 +1,5 @@
+module Node_stats = Dsm_causal.Node_stats
+
 type scenario_result = {
   scenario : string;
   seeds : int;
@@ -21,6 +23,8 @@ type result = {
   split_brain : scenario_result;
 }
 
+(* Scenario facts that are not cluster counters (availability inside the
+   partition window, refused client writes) travel as report notes. *)
 let note_int (r : Chaos.report) name =
   match List.assoc_opt name r.Chaos.notes with
   | Some v -> ( match int_of_string_opt v with Some n -> n | None -> 0)
@@ -40,10 +44,10 @@ let run_scenario ~scenario ~seeds =
     scenario;
     seeds = List.length seeds;
     healthy = List.length (List.filter Chaos.healthy reports);
-    takeovers = sum (fun r -> r.Chaos.takeovers);
-    partition_heals = sum (fun r -> note_int r "partition_heals");
+    takeovers = sum (fun r -> r.Chaos.stats.Node_stats.takeovers);
+    partition_heals = sum (fun r -> r.Chaos.stats.Node_stats.partition_heals);
     refused_writes = sum (fun r -> note_int r "refused_writes");
-    resyncs = sum (fun r -> note_int r "resyncs");
+    resyncs = sum (fun r -> r.Chaos.stats.Node_stats.resyncs);
     maj_attempts;
     maj_ok;
     min_attempts;

@@ -62,7 +62,7 @@ let run_case ~interval ~nodes ~ops ~cycles ~seed =
   done;
   Causal.shutdown c;
   let stats = Causal.cluster_stats c in
-  let recoveries = Causal.recoveries c in
+  let recoveries = stats.Dsm_causal.Node_stats.recoveries in
   let per r = if recoveries = 0 then 0.0 else r /. float_of_int recoveries in
   {
     mode = (match interval with Some _ -> "checkpointed" | None -> "uncheckpointed");
@@ -73,7 +73,7 @@ let run_case ~interval ~nodes ~ops ~cycles ~seed =
     wal_checkpoints = stats.Dsm_causal.Node_stats.wal_checkpoints;
     wal_truncated = stats.Dsm_causal.Node_stats.wal_truncated;
     recoveries;
-    replayed_per_recovery = per (float_of_int (Causal.replayed_records c));
+    replayed_per_recovery = per (float_of_int stats.Dsm_causal.Node_stats.replayed_records);
     seconds_per_recovery = per (Causal.recovery_seconds c);
     unfinished = List.length (Proc.unfinished_since sched);
   }

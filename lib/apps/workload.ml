@@ -84,7 +84,7 @@ let run_causal ?(seed = 1L) ?config ?latency ?fault ?reliability ?rpc spec =
           Dsm_causal.Cluster.shutdown c;
           {
             history = Dsm_causal.Cluster.history c;
-            messages = Dsm_causal.Cluster.messages_total c;
+            messages = Dsm_causal.Cluster.physical_frames c;
             sim_time = Engine.now engine;
           }
         in

@@ -5,7 +5,6 @@ module Node = Dsm_protocol.Node
 module Node_stats = Dsm_protocol.Node_stats
 module Config = Dsm_protocol.Config
 module Stamped = Dsm_protocol.Stamped
-module Write_digest = Dsm_protocol.Write_digest
 module Detector = Dsm_protocol.Detector
 module Loc = Dsm_memory.Loc
 module Value = Dsm_memory.Value
@@ -66,7 +65,6 @@ type t = {
   sched : Proc.sched;
   transport : transport;
   core : Protocol.state;
-  owner : Owner.t;
   config : Config.t;
   rpc : rpc option;
   recorder : History.Recorder.t;
@@ -112,24 +110,6 @@ let send_msg t ~src ~dst ~kind ~size msg =
   match t.transport with
   | Direct n -> Network.send n ~src ~dst ~kind ~size msg
   | Framed r -> Reliable.send r ~src ~dst ~kind ~size msg
-
-(* Mirrors Protocol's share-set-width wire accounting for the client-side
-   sends the shell prices itself (outbound WRITEs): under sharding a
-   location's writestamp costs its share-set's width on the wire, and a
-   digest is priced per location at that location's shard width. *)
-let entry_wire_size t ~loc (count : int) =
-  let dim =
-    match Protocol.sharding t.core with
-    | None -> Owner.nodes t.owner
-    | Some s -> Shard.width s (Shard.of_loc s loc)
-  in
-  count * t.config.Config.entry_size dim
-
-let digest_wire_size t digest =
-  match Protocol.sharding t.core with
-  | None -> Write_digest.wire_size digest ~dim:(Owner.nodes t.owner)
-  | Some s ->
-      List.fold_left (fun acc (l, _) -> acc + Shard.width s (Shard.of_loc s l) + 2) 0 digest
 
 let sim_now t = Dsm_sim.Engine.now (Proc.engine t.sched)
 
@@ -389,7 +369,6 @@ let create ~sched ~owner ?(config = Config.default) ?latency ?fault ?reliability
       sched;
       transport;
       core;
-      owner;
       config;
       rpc;
       recorder = History.Recorder.create ~processes;
@@ -466,11 +445,9 @@ let net t =
   | Framed _ ->
       invalid_arg
         "Cluster.net: this cluster runs over the reliable transport; use Cluster.reliable, \
-         Cluster.messages_total and the Cluster link controls"
+         Cluster.physical_frames and the Cluster link controls"
 
 let reliable t = match t.transport with Direct _ -> None | Framed r -> Some r
-
-let messages_total t = on_net t { on = (fun n -> Network.lifetime_total n) }
 
 (* Logical messages: protocol payloads handed to the transport — the unit
    the paper's message tables count, invariant under batching.  On a direct
@@ -479,15 +456,11 @@ let messages_total t = on_net t { on = (fun n -> Network.lifetime_total n) }
 let logical_messages t =
   match t.transport with
   | Direct n -> Network.lifetime_total n
-  | Framed r -> Reliable.sent r
+  | Framed r -> (Reliable.counters r).Reliable.sent
 
-let physical_frames t = messages_total t
+let physical_frames t = on_net t { on = (fun n -> Network.lifetime_total n) }
 
 let wire_counters t = on_net t { on = (fun n -> Network.counters n) }
-
-let wire_dropped t = on_net t { on = (fun n -> Network.dropped n) }
-
-let wire_duplicated t = on_net t { on = (fun n -> Network.duplicated n) }
 
 let set_link_down t ~src ~dst down =
   on_net t { on = (fun n -> Network.set_link_down n ~src ~dst down) }
@@ -506,9 +479,6 @@ let heal_partition t ga gb = on_net t { on = (fun n -> Network.heal_partition n 
 
 let heal_all_links t = on_net t { on = (fun n -> Network.heal_all n) }
 
-let retransmissions t =
-  match t.transport with Direct _ -> 0 | Framed r -> Reliable.retransmissions r
-
 let stale_replies t = t.stale_replies
 
 let rpc_timeouts t = t.rpc_timeouts
@@ -517,9 +487,8 @@ let history t = History.Recorder.history t.recorder
 
 let timed_history t = History.Recorder.timed_history t.recorder
 
-let stats t = List.init (processes t) (fun pid -> Node.stats (node t pid))
-
-let total_stats t = Node_stats.total (stats t)
+let total_stats t =
+  Node_stats.total (List.init (processes t) (fun pid -> Node.stats (node t pid)))
 
 let shutdown t = t.timers_stopped <- true
 
@@ -529,21 +498,7 @@ let disk t = t.disk
 
 let wal t pid = t.wals.(pid)
 
-let takeovers t = Protocol.takeovers t.core
-
-let shadow_degraded t = Protocol.shadow_degraded t.core
-
-let shadow_reads t = t.shadow_reads
-
-let redirects t = t.redirects
-
-let wal_sync_failures t = t.wal_sync_failures
-
 let sum_wals t f = Array.fold_left (fun acc w -> acc + f w) 0 t.wals
-
-let recoveries t = t.recoveries
-
-let replayed_records t = t.replayed_records
 
 let recovery_seconds t = t.recovery_seconds
 
@@ -559,25 +514,11 @@ let unsubscribe t ~node ~shard = dispatch t (Protocol.Unsubscribe { node; shard 
 
 let quorum_for t ~base = Protocol.quorum_for t.core ~base
 
-let recovery_lines t = Protocol.checkpoint_rounds_completed t.core
-
 let checkpoint_round t pid = Protocol.checkpoint_round t.core pid
 
 let partition_degraded t pid = Protocol.partition_degraded t.core pid
 
-let partition_heals t = Protocol.partition_heals t.core
-
-let votes_granted t = Protocol.votes_granted t.core
-
-let degraded_refusals t = Protocol.degraded_refusals t.core
-
 let quorum t = Protocol.quorum t.core
-
-let resyncs t = match t.transport with Direct _ -> 0 | Framed r -> Reliable.resyncs r
-
-let suspect_events t = Protocol.suspect_events t.core
-
-let unsuspect_events t = Protocol.unsuspect_events t.core
 
 let suspected_by t pid = Protocol.suspected_by t.core pid
 
@@ -593,22 +534,34 @@ let serving_of t ~base =
    protocol counters plus every cluster-level counter, wherever it lives —
    core, shell or wire. *)
 let cluster_stats t =
+  let core = Protocol.counters t.core in
+  let retransmissions, resyncs =
+    match t.transport with
+    | Direct _ -> (0, 0)
+    | Framed r ->
+        let c = Reliable.counters r in
+        (c.Reliable.retransmissions, c.Reliable.resyncs)
+  in
   {
     Node_stats.protocol = total_stats t;
     logical_messages = logical_messages t;
     physical_frames = physical_frames t;
-    wire_dropped = wire_dropped t;
-    wire_duplicated = wire_duplicated t;
-    retransmissions = retransmissions t;
+    wire_dropped = on_net t { on = (fun n -> Network.dropped n) };
+    wire_duplicated = on_net t { on = (fun n -> Network.duplicated n) };
+    retransmissions;
+    resyncs;
     stale_replies = t.stale_replies;
     rpc_timeouts = t.rpc_timeouts;
-    dropped_at_crashed = Protocol.dropped_at_crashed t.core;
+    dropped_at_crashed = core.Protocol.dropped_at_crashed;
     redirects = t.redirects;
     shadow_reads = t.shadow_reads;
-    shadow_degraded = Protocol.shadow_degraded t.core;
-    takeovers = Protocol.takeovers t.core;
-    suspects = Protocol.suspect_events t.core;
-    unsuspects = Protocol.unsuspect_events t.core;
+    shadow_degraded = core.Protocol.shadow_degraded;
+    takeovers = core.Protocol.takeovers;
+    suspects = core.Protocol.suspect_events;
+    unsuspects = core.Protocol.unsuspect_events;
+    votes_granted = core.Protocol.votes_granted;
+    degraded_refusals = core.Protocol.degraded_refusals;
+    partition_heals = core.Protocol.partition_heals;
     wal_sync_failures = t.wal_sync_failures;
     wal_records = sum_wals t Wal.length;
     wal_checkpoints = sum_wals t Wal.checkpoints;
@@ -617,7 +570,7 @@ let cluster_stats t =
     wal_truncated = sum_wals t Wal.truncated;
     recoveries = t.recoveries;
     replayed_records = t.replayed_records;
-    recovery_lines = Protocol.checkpoint_rounds_completed t.core;
+    recovery_lines = core.Protocol.checkpoint_rounds_completed;
   }
 
 (* Crash-stop failures.  [crash] makes the node deaf (deliveries are
@@ -658,8 +611,6 @@ let restart t pid =
   match restart_result t pid with Ok () -> () | Error e -> raise (Node_state e)
 
 let is_crashed t pid = Protocol.is_crashed t.core pid
-
-let dropped_at_crashed t = Protocol.dropped_at_crashed t.core
 
 let pid h = Node.id h.node
 
@@ -765,7 +716,7 @@ let read_stamped h loc =
            what we now know and must not be retained in the cache. *)
         let vt_at_request = Node.vt node in
         let reply =
-          rendezvous h ~op:`Read ~loc ~kind:"READ" ~size:t.config.Config.read_request_size
+          rendezvous h ~op:`Read ~loc ~kind:"READ" ~size:Message.read_request_size
             ~route:(fun () -> Node.owner_of node loc)
             (fun ~req ~epoch -> Message.Read_req { req; loc; epoch })
         in
@@ -801,7 +752,7 @@ let read_stamped h loc =
         | Some b -> (
             let reply =
               rendezvous h ~op:`Read ~loc ~kind:"SH_READ"
-                ~size:t.config.Config.read_request_size
+                ~size:Message.read_request_size
                 ~route:(fun () -> b)
                 (fun ~req ~epoch:_ -> Message.Shadow_read_req { req; loc })
             in
@@ -863,7 +814,9 @@ let write_resolved h loc value =
     let digest = Node.digest_export node in
     let reply =
       rendezvous h ~op:`Write ~loc ~kind:"WRITE"
-        ~size:(entry_wire_size t ~loc 1 + digest_wire_size t digest)
+        ~size:
+          (Protocol.entry_wire_size t.core ~base:(Node.base_owner_of node loc) 1
+          + Protocol.digest_wire_size t.core digest)
         ~route:(fun () -> Node.owner_of node loc)
         (fun ~req ~epoch -> Message.Write_req { req; loc; entry; digest; epoch })
     in

@@ -137,29 +137,22 @@ val reliable : t -> Dsm_protocol.Message.t Dsm_net.Reliable.t option
 (** The reliable transport, when the cluster was created with
     [?reliability]. *)
 
-(** {1 Uniform wire accessors (work for both transports)} *)
+(** {1 Uniform wire accessors (work for both transports)}
 
-val messages_total : t -> int
-(** Lifetime messages accepted by the underlying network (for the reliable
-    transport this includes acks and retransmissions). *)
+    Every counter also appears in {!cluster_stats}; these few stay as
+    functions for callers that read one value on its own, and each equals
+    its {!cluster_stats} field. *)
 
 val logical_messages : t -> int
 (** Protocol payloads handed to the transport — the paper's accounting
     unit (the [2n+6] message tables), invariant under frame batching and
-    ack coalescing.  Equals {!messages_total} on a direct cluster. *)
+    ack coalescing.  Equals {!physical_frames} on a direct cluster. *)
 
 val physical_frames : t -> int
-(** Frames the wire actually carried (data/batch frames, explicit acks,
-    retransmissions) — what batching reduces.  Alias of
-    {!messages_total}, named for the logical/physical split. *)
+(** Lifetime frames the underlying network accepted: data/batch frames,
+    explicit acks and retransmissions — what batching reduces. *)
 
 val wire_counters : t -> Dsm_net.Network.counters
-
-val wire_dropped : t -> int
-(** Messages lost to down links and the fault model. *)
-
-val wire_duplicated : t -> int
-(** Extra copies injected by the duplication fault. *)
 
 val set_link_down : t -> src:int -> dst:int -> bool -> unit
 
@@ -186,9 +179,6 @@ val heal_partition : t -> int list -> int list -> unit
 
 val heal_all_links : t -> unit
 (** Restore every downed link in the cluster. *)
-
-val retransmissions : t -> int
-(** Data packets re-sent by the reliable layer; [0] for a direct cluster. *)
 
 val stale_replies : t -> int
 (** Replies that arrived for abandoned request tags (timed-out attempts or
@@ -222,9 +212,6 @@ val restart : t -> int -> unit
 
 val is_crashed : t -> int -> bool
 
-val dropped_at_crashed : t -> int
-(** Deliveries dropped because the destination was crashed. *)
-
 (** {1 Durability and failover observability} *)
 
 val disk : t -> Wal.Disk.t
@@ -242,61 +229,23 @@ val begin_checkpoint : t -> int -> unit
 (** Have node [pid] initiate a coordinated checkpoint round: it snapshots
     itself and floods [Cp_marker]s; every node snapshots on first marker
     receipt and acks the initiator, which records a stable recovery line
-    once all acks are in ({!recovery_lines}).  See PROTOCOL.md,
+    once all acks are in (the [recovery_lines] field of {!cluster_stats}).  See PROTOCOL.md,
     "Checkpointing & recovery". *)
-
-val recovery_lines : t -> int
-(** Coordinated rounds whose initiator collected every ack. *)
 
 val checkpoint_round : t -> int -> int
 (** The highest coordinated round node [pid] has snapshotted (0 before
     any). *)
 
-val recoveries : t -> int
-(** Restarts that replayed a log. *)
-
-val replayed_records : t -> int
-(** Records replayed across all restarts — bounded by
-    records-since-checkpoint per node, not log lifetime. *)
-
 val recovery_seconds : t -> float
 (** Cumulative host CPU time (process time, [Sys.time]) spent replaying
-    logs in {!restart}; what [dsm bench recovery] measures. *)
-
-val takeovers : t -> int
-(** Ownership promotions performed by backups. *)
-
-val shadow_degraded : t -> int
-(** Certified writes acknowledged without backup replication (no live
-    backup, or the shadow ack missed the grace window). *)
-
-val shadow_reads : t -> int
-(** Reads served from a shadow copy while the owner was suspected. *)
-
-val redirects : t -> int
-(** Requests re-routed after an epoch-fencing [Stale_epoch] reply. *)
-
-val wal_sync_failures : t -> int
-(** Log appends/checkpoints whose injected sync fault fired; the entry
-    stayed volatile until the next successful checkpoint. *)
+    logs in {!restart}; what [dsm bench recovery] measures.  Host time, so
+    it stays out of the deterministic {!cluster_stats}. *)
 
 val partition_degraded : t -> int -> bool
 (** Whether node [pid] is currently in read-only degraded mode: it serves
     locations but can reach fewer than {!quorum} nodes, so it refuses
     writes (local writes raise {!Timed_out} with [attempts = 0]; remote
     [WRITE]s are silently dropped) while still serving reads. *)
-
-val partition_heals : t -> int
-(** Times a degraded node regained quorum contact and resumed serving
-    writes (the [Partition_healed] trace milestone). *)
-
-val votes_granted : t -> int
-(** [OWNER_VOTE] grants sent cluster-wide — the currency of quorum-gated
-    takeover. *)
-
-val degraded_refusals : t -> int
-(** Remote write requests silently refused by partition-degraded owners
-    (the requester's RPC times out). *)
 
 val quorum : t -> int
 (** ⌊n/2⌋+1 over the whole cluster — the legacy electorate. *)
@@ -318,16 +267,6 @@ val subscribe : t -> node:int -> shard:int -> unit
 val unsubscribe : t -> node:int -> shard:int -> unit
 (** Leave [shard]'s share-set and drop cached copies of its locations.
     Ring members cannot leave; no-op without sharding. *)
-
-val resyncs : t -> int
-(** Heal-time link resynchronisations performed by the reliable transport;
-    [0] for a direct cluster. *)
-
-val suspect_events : t -> int
-(** Suspicion transitions across all detectors ([0] without [?detector]). *)
-
-val unsuspect_events : t -> int
-(** Recoveries from suspicion across all detectors. *)
 
 val suspected_by : t -> int -> int list
 (** Peers node [pid] currently suspects, ascending. *)
@@ -357,10 +296,9 @@ val timed_history : t -> (Dsm_memory.Op.t * float * float) list
     memory's weak executions show up here as non-linearizable interval
     sets.  Built on demand from the same retained ops as {!history}. *)
 
-val stats : t -> Dsm_protocol.Node_stats.t list
-(** Per-node counters, pid order. *)
-
 val total_stats : t -> Dsm_protocol.Node_stats.t
+(** The per-node protocol counters summed; the [protocol] field of
+    {!cluster_stats}. *)
 
 val cluster_stats : t -> Dsm_protocol.Node_stats.cluster
 (** Every counter the cluster keeps — protocol, wire, RPC, crash and

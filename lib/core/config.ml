@@ -43,8 +43,6 @@ type t = {
   invalidation : invalidation;
   policy : Policy.t;
   init : Dsm_memory.Loc.t -> Dsm_memory.Value.t;
-  read_request_size : int;
-  entry_size : int -> int;
   mutation : mutation;
 }
 
@@ -55,8 +53,6 @@ let default =
     invalidation = Coarse;
     policy = Policy.Last_writer_wins;
     init = (fun _ -> Dsm_memory.Value.initial);
-    read_request_size = 1;
-    entry_size = (fun dim -> 2 + dim);
     mutation = No_mutation;
   }
 

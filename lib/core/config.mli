@@ -86,10 +86,6 @@ type t = {
   policy : Policy.t;
   init : Dsm_memory.Loc.t -> Dsm_memory.Value.t;
       (** initial value of owned locations (default: [Value.initial]) *)
-  read_request_size : int;
-  entry_size : int -> int;
-      (** wire size of a stamped entry as a function of the vector-clock
-          dimension; used only for byte accounting *)
   mutation : mutation;
       (** {b Test-only fault injection — never enable in real use.}
           Selectively breaks one Figure-4 rule (see {!mutation}) so the

@@ -141,3 +141,7 @@ let pp ppf t =
   | Sub_req { base } -> Format.fprintf ppf "SUB_REQ(base %d)" base
   | Sub_reply { base; entries } ->
       Format.fprintf ppf "SUB_REPLY(base %d,+%d)" base (List.length entries)
+
+let read_request_size = 1
+
+let entry_size ~dim = 2 + dim

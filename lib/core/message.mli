@@ -96,3 +96,14 @@ val kind : t -> string
     ["CP_ACK"], ["SUB_REQ"] or ["SUB_REPLY"]. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {1 Wire accounting}
+
+    Message sizes are abstract units used only for byte accounting. *)
+
+val read_request_size : int
+(** A [READ] (or shadow-read) request: one unit. *)
+
+val entry_size : dim:int -> int
+(** One stamped entry whose writestamp is [dim] components wide:
+    [2 + dim] units. *)

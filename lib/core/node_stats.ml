@@ -67,6 +67,7 @@ type cluster = {
   wire_dropped : int;
   wire_duplicated : int;
   retransmissions : int;
+  resyncs : int;
   stale_replies : int;
   rpc_timeouts : int;
   dropped_at_crashed : int;
@@ -76,6 +77,9 @@ type cluster = {
   takeovers : int;
   suspects : int;
   unsuspects : int;
+  votes_granted : int;
+  degraded_refusals : int;
+  partition_heals : int;
   wal_sync_failures : int;
   wal_records : int;
   wal_checkpoints : int;
@@ -99,6 +103,7 @@ let pp_cluster ppf c =
   field "wire_dropped" c.wire_dropped;
   field "wire_dup" c.wire_duplicated;
   field "retrans" c.retransmissions;
+  field "resyncs" c.resyncs;
   field "stale_replies" c.stale_replies;
   field "rpc_timeouts" c.rpc_timeouts;
   field "dropped_at_crashed" c.dropped_at_crashed;
@@ -108,6 +113,10 @@ let pp_cluster ppf c =
   field "takeovers" c.takeovers;
   field "suspects" c.suspects;
   field "unsuspects" c.unsuspects;
+  (* Partitions: quorum canvassing and read-only degradation. *)
+  field "votes_granted" c.votes_granted;
+  field "degraded_refusals" c.degraded_refusals;
+  field "partition_heals" c.partition_heals;
   field "wal_sync_failures" c.wal_sync_failures;
   (* The recovery subsystem: log retention and restart accounting. *)
   field "wal_checkpoints" c.wal_checkpoints;

@@ -31,9 +31,11 @@ val pp : Format.formatter -> t -> unit
 
 (** The whole cluster's counters in one record, assembled by
     [Cluster.cluster_stats]: the summed per-node protocol counters plus
-    every cluster-level counter that used to be scattered across bespoke
-    accessors — transport faults and recovery, RPC timeouts and stale
-    replies, crash-stop losses, and the failover machinery. *)
+    every cluster-level counter — transport faults and recovery, RPC
+    timeouts and stale replies, crash-stop losses, the failover and
+    partition machinery, and the write-ahead logs.  This record is the one
+    place each deterministic cluster counter is defined; the only counter
+    kept outside it is [Cluster.recovery_seconds], which is host time. *)
 type cluster = {
   protocol : t;  (** sum of the per-node counters above *)
   logical_messages : int;
@@ -47,6 +49,7 @@ type cluster = {
   wire_dropped : int;  (** messages lost to down links / the fault model *)
   wire_duplicated : int;
   retransmissions : int;  (** reliable-layer re-sends (0 on direct) *)
+  resyncs : int;  (** heal-time link resynchronisations (0 on direct) *)
   stale_replies : int;  (** replies to abandoned request tags *)
   rpc_timeouts : int;  (** individual RPC attempts that timed out *)
   dropped_at_crashed : int;  (** deliveries to crashed nodes *)
@@ -56,6 +59,13 @@ type cluster = {
   takeovers : int;  (** ownership promotions by backups *)
   suspects : int;  (** failure-detector suspicion transitions *)
   unsuspects : int;  (** recoveries from suspicion *)
+  votes_granted : int;  (** [OWNER_VOTE] grants sent, cluster-wide *)
+  degraded_refusals : int;
+      (** remote writes silently refused by partition-degraded owners (the
+          requester's RPC times out) *)
+  partition_heals : int;
+      (** times a degraded owner regained quorum contact and resumed
+          serving writes *)
   wal_sync_failures : int;  (** injected log-sync faults that fired *)
   wal_records : int;  (** entries currently live across all logs *)
   wal_checkpoints : int;  (** snapshot records written (torn included) *)

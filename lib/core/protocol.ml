@@ -32,6 +32,18 @@ type action =
    for and the peers (itself included) that granted an OWNER_VOTE. *)
 type candidacy = { cand_epoch : int; mutable grants : int list }
 
+type counters = {
+  dropped_at_crashed : int;
+  takeovers : int;
+  shadow_degraded : int;
+  votes_granted : int;
+  degraded_refusals : int;
+  partition_heals : int;
+  suspect_events : int;
+  unsuspect_events : int;
+  checkpoint_rounds_completed : int;
+}
+
 type state = {
   nodes : Node.t array;
   owner : Owner.t;
@@ -63,7 +75,6 @@ type state = {
   cp_round : int array;
   cp_acks : (int, int) Hashtbl.t array;
   mutable cp_seq : int;
-  mutable cp_started : int;
   mutable cp_completed : int;
   mutable tracing : bool;
 }
@@ -118,7 +129,6 @@ let create ~owner ~config ?detector ?sharding ~now () =
     cp_round = Array.make processes 0;
     cp_acks = Array.init processes (fun _ -> Hashtbl.create 4);
     cp_seq = 0;
-    cp_started = 0;
     cp_completed = 0;
     tracing = false;
   }
@@ -176,32 +186,10 @@ let view t =
   done;
   !acc
 
-let dropped_at_crashed t = t.dropped_at_crashed
-
-let takeovers t = t.takeovers
-
-let shadow_degraded t = t.shadow_degraded
-
-let suspect_events t =
-  match t.detectors with
-  | None -> 0
-  | Some dets -> Array.fold_left (fun acc d -> acc + Detector.suspect_events d) 0 dets
-
-let unsuspect_events t =
-  match t.detectors with
-  | None -> 0
-  | Some dets -> Array.fold_left (fun acc d -> acc + Detector.unsuspect_events d) 0 dets
-
 let suspected_by t pid =
   match t.detectors with None -> [] | Some dets -> Detector.suspected_now dets.(pid)
 
 let partition_degraded t pid = t.degraded.(pid)
-
-let votes_granted t = t.votes_granted
-
-let degraded_refusals t = t.degraded_refusals
-
-let partition_heals t = t.partition_heals
 
 let candidacies t pid =
   Hashtbl.fold
@@ -222,13 +210,27 @@ let shadow_seqno t = t.shadow_seq
 
 let checkpoint_round t pid = t.cp_round.(pid)
 
-let checkpoint_rounds_started t = t.cp_started
-
-let checkpoint_rounds_completed t = t.cp_completed
-
 let checkpoint_acks_pending t pid =
   Hashtbl.fold (fun round got acc -> (round, got) :: acc) t.cp_acks.(pid) []
   |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
+
+let counters (t : state) : counters =
+  let detector_sum f =
+    match t.detectors with
+    | None -> 0
+    | Some dets -> Array.fold_left (fun acc d -> acc + f d) 0 dets
+  in
+  {
+    dropped_at_crashed = t.dropped_at_crashed;
+    takeovers = t.takeovers;
+    shadow_degraded = t.shadow_degraded;
+    votes_granted = t.votes_granted;
+    degraded_refusals = t.degraded_refusals;
+    partition_heals = t.partition_heals;
+    suspect_events = detector_sum Detector.suspect_events;
+    unsuspect_events = detector_sum Detector.unsuspect_events;
+    checkpoint_rounds_completed = t.cp_completed;
+  }
 
 let set_tracing t on =
   t.tracing <- on;
@@ -264,7 +266,7 @@ let entry_dim t ~base =
   | None -> Owner.nodes t.owner
   | Some s -> Shard.width s (Shard.of_base s base)
 
-let entry_wire_size t ~base count = count * t.config.Config.entry_size (entry_dim t ~base)
+let entry_wire_size t ~base count = count * Message.entry_size ~dim:(entry_dim t ~base)
 
 let digest_wire_size t digest =
   match t.sharding with
@@ -1029,7 +1031,6 @@ let step t event =
   | Begin_checkpoint { node = me } ->
       if not t.crashed.(me) then begin
         let round = t.cp_seq + 1 in
-        t.cp_started <- t.cp_started + 1;
         take_checkpoint t acc ~me ~round;
         let n = Array.length t.nodes in
         if n = 1 then cp_round_complete t acc ~me ~round

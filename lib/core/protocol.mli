@@ -156,6 +156,15 @@ val quorum_for : state -> base:int -> int
 
 val sharding : state -> Dsm_memory.Shard.t option
 
+val entry_wire_size : state -> base:int -> int -> int
+(** [entry_wire_size st ~base count]: wire units of [count] stamped entries
+    of [base]'s locations — {!Message.entry_size} at cluster width, or at
+    the width of [base]'s share-set under sharding. *)
+
+val digest_wire_size : state -> Message.digest -> int
+(** Wire units of a piggybacked digest, each location priced at its
+    share-set width under sharding. *)
+
 val subscriptions : state -> (int * int list) list
 (** Per shard, the current subscribers ascending — [[]] without sharding.
     Exposed so the model checker can fingerprint the share-set state. *)
@@ -170,23 +179,8 @@ val view : state -> (int * int * int) list
 (** Cluster-wide view: per base with any takeover, the highest epoch any
     node has adopted, as [(base, epoch, serving)] ascending by base. *)
 
-val dropped_at_crashed : state -> int
-
-val takeovers : state -> int
-
-val shadow_degraded : state -> int
-
 val partition_degraded : state -> int -> bool
 (** Whether one node is currently in read-only degraded mode. *)
-
-val votes_granted : state -> int
-(** OWNER_VOTE grants sent, cluster-wide. *)
-
-val degraded_refusals : state -> int
-(** Write requests silently refused by degraded owners. *)
-
-val partition_heals : state -> int
-(** Degraded owners that regained quorum contact ([Partition_healed]). *)
 
 val candidacies : state -> int -> (int * int * int list) list
 (** One node's open takeover canvasses as [(base, epoch, granting peers
@@ -196,10 +190,6 @@ val candidacies : state -> int -> (int * int * int list) list
 val vote_promises : state -> int -> (int * int * int) list
 (** One node's outstanding vote promises as [(base, epoch, candidate)],
     ascending by base; exposed for model-checker fingerprinting. *)
-
-val suspect_events : state -> int
-
-val unsuspect_events : state -> int
 
 val suspected_by : state -> int -> int list
 (** Peers currently suspected by one node, ascending. *)
@@ -217,16 +207,31 @@ val checkpoint_round : state -> int -> int
     Monotone, and deliberately not reset by crash/restart — the snapshot it
     names is on stable storage. *)
 
-val checkpoint_rounds_started : state -> int
-(** Coordinated rounds initiated ({!event.Begin_checkpoint} at a live
-    node). *)
-
-val checkpoint_rounds_completed : state -> int
-(** Rounds whose initiator collected every participant's [Cp_ack] — stable
-    recovery lines.  A round with a crashed participant never completes
-    (and blocks nothing). *)
-
 val checkpoint_acks_pending : state -> int -> (int * int) list
 (** One node's open initiated rounds as [(round, acks received)] ascending
     by round; exposed so the model checker can fingerprint the full
     protocol state. *)
+
+(** {1 Counters} *)
+
+(** Lifetime counts of the core's failure-handling events, cluster-wide. *)
+type counters = {
+  dropped_at_crashed : int;  (** deliveries to crashed nodes *)
+  takeovers : int;  (** ownership promotions by backups *)
+  shadow_degraded : int;
+      (** certified writes acknowledged without backup replication (no
+          live backup, or the shadow ack missed the grace window) *)
+  votes_granted : int;  (** OWNER_VOTE grants sent *)
+  degraded_refusals : int;  (** write requests silently refused by degraded owners *)
+  partition_heals : int;
+      (** degraded owners that regained quorum contact ([Partition_healed]) *)
+  suspect_events : int;  (** suspicion transitions across all detectors *)
+  unsuspect_events : int;  (** recoveries from suspicion across all detectors *)
+  checkpoint_rounds_completed : int;
+      (** coordinated rounds whose initiator collected every participant's
+          [Cp_ack] — stable recovery lines.  A round with a crashed
+          participant never completes (and blocks nothing). *)
+}
+
+val counters : state -> counters
+(** A snapshot of the counters above. *)

@@ -20,8 +20,8 @@ type body =
      saw it — a batch frame appears once with kind ["BATCH"] (or the
      payloads' kind when uniform) and its summed size, acks and
      retransmissions appear individually.  Logical messages (the paper's
-     accounting unit) live in [Reliable.sent] / [Cluster.logical_messages],
-     not on this bus. *)
+     accounting unit) live in the [sent] field of [Reliable.counters] and
+     in [Cluster.logical_messages], not on this bus. *)
   | Send of { src : int; dst : int; kind : string; size : int }
   | Deliver of { src : int; dst : int; kind : string }
   | Drop of { src : int; dst : int; kind : string }

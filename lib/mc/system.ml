@@ -322,7 +322,7 @@ let send_read t pid loc ~vt_at_request ~redirects =
   let dst = Node.owner_of nd loc in
   let epoch = Node.epoch_of nd ~base:(Node.base_owner_of nd loc) in
   t.status.(pid) <- Waiting_read { req; loc; vt_at_request; redirects };
-  post t ~src:pid ~dst ~kind:"READ" ~size:t.config.Config.read_request_size
+  post t ~src:pid ~dst ~kind:"READ" ~size:Message.read_request_size
     (Message.Read_req { req; loc; epoch })
 
 let send_write t pid loc entry ~redirects =
@@ -332,7 +332,7 @@ let send_write t pid loc entry ~redirects =
   let epoch = Node.epoch_of nd ~base:(Node.base_owner_of nd loc) in
   let digest = Node.digest_export nd in
   t.status.(pid) <- Waiting_write { req; loc; entry; redirects };
-  post t ~src:pid ~dst ~kind:"WRITE" ~size:(t.config.Config.entry_size t.scope.nodes)
+  post t ~src:pid ~dst ~kind:"WRITE" ~size:(Message.entry_size ~dim:t.scope.nodes)
     (Message.Write_req { req; loc; entry; digest; epoch })
 
 (* Too many fencing redirects: the shell would surface [Timed_out]; here the
@@ -596,7 +596,7 @@ let enabled t =
          retroactively fences. *)
       match t.scope.fault with
       | Gen.Crash { restart = true; _ }
-        when t.takeover_done && P.takeovers t.core > 0 && not t.restarted ->
+        when t.takeover_done && (P.counters t.core).P.takeovers > 0 && not t.restarted ->
           [ Restart_victim ]
       | _ -> []
     in

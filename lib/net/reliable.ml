@@ -83,6 +83,8 @@ type counters = {
   dup_dropped : int;
   reordered : int;
   gave_up : int;
+  resyncs : int;
+  fast_rexmits : int;
 }
 
 type 'msg t = {
@@ -579,17 +581,9 @@ let counters t =
     dup_dropped = t.dup_dropped;
     reordered = t.reordered;
     gave_up = t.gave_up;
+    resyncs = t.resyncs;
+    fast_rexmits = t.fast_rexmits;
   }
-
-let sent t = t.sent
-
-let retransmissions t = t.retransmissions
-
-let gave_up t = t.gave_up
-
-let resyncs t = t.resyncs
-
-let fast_rexmits t = t.fast_rexmits
 
 let dead_links t =
   let n = nodes t in

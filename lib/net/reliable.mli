@@ -101,7 +101,8 @@ val net : 'msg t -> 'msg framed Network.t
 (** The underlying network, for fault/latency/down-link control and raw
     wire-level counters.  [Network.lifetime_total] on it counts {e physical
     frames} (data, batch and ack frames, retransmissions included) — the
-    quantity batching reduces, as opposed to the logical {!sent} count. *)
+    quantity batching reduces, as opposed to the logical [sent] count in
+    {!counters}. *)
 
 val nodes : 'msg t -> int
 
@@ -163,25 +164,16 @@ type counters = {
   dup_dropped : int;  (** received duplicates suppressed *)
   reordered : int;  (** arrivals buffered because a gap preceded them *)
   gave_up : int;  (** payloads abandoned after [max_retries] *)
+  resyncs : int;
+      (** heal-time {!resync_link} actions that found something to do (a
+          dead link revived or a live window retransmitted) *)
+  fast_rexmits : int;
+      (** retransmissions triggered by three duplicate cumulative acks
+          (loss evidence) rather than by the timer — these also count in
+          [retransmissions] *)
 }
 
 val counters : 'msg t -> counters
-
-val sent : 'msg t -> int
-(** Logical messages accepted so far (the [sent] counter). *)
-
-val retransmissions : 'msg t -> int
-
-val gave_up : 'msg t -> int
-
-val resyncs : 'msg t -> int
-(** Heal-time {!resync_link} actions that found something to do (a dead
-    link revived or a live window retransmitted). *)
-
-val fast_rexmits : 'msg t -> int
-(** Retransmissions triggered by three duplicate cumulative acks (loss
-    evidence) rather than by the timer — these also count in
-    {!retransmissions}. *)
 
 val dead_links : 'msg t -> (int * int) list
 (** Directed links currently given up ([(src, dst)], ascending) — dead

@@ -8,6 +8,7 @@ module Workload = Dsm_apps.Workload
 module Reliable = Dsm_net.Reliable
 module Cluster = Dsm_causal.Cluster
 module Check = Dsm_checker.Causal_check
+module Node_stats = Dsm_causal.Node_stats
 
 let knobs ?(drop = 0.05) ?(duplicate = 0.01) () =
   { Chaos.default_knobs with Chaos.drop; duplicate }
@@ -26,7 +27,7 @@ let assert_healthy name (r : Chaos.report) =
 let test_mix_soak () =
   let r = Chaos.mix ~knobs:(knobs ()) ~seed:2025L () in
   assert_healthy "mix" r;
-  Alcotest.(check bool) "loss actually injected" true (r.Chaos.dropped > 0);
+  Alcotest.(check bool) "loss actually injected" true (r.Chaos.stats.Node_stats.wire_dropped > 0);
   Alcotest.(check bool) "transport worked for it" true
     (r.Chaos.transport.Reliable.retransmissions > 0)
 
@@ -80,7 +81,8 @@ let test_determinism () =
       let run () = Chaos.run ~knobs:(knobs ()) ~seed:42L scenario in
       let r1 = run () and r2 = run () in
       Alcotest.(check int) (scenario ^ ": same ops") r1.Chaos.ops r2.Chaos.ops;
-      Alcotest.(check int) (scenario ^ ": same messages") r1.Chaos.messages r2.Chaos.messages;
+      Alcotest.(check int) (scenario ^ ": same messages")
+        r1.Chaos.stats.Node_stats.physical_frames r2.Chaos.stats.Node_stats.physical_frames;
       Alcotest.(check int)
         (scenario ^ ": same retransmissions")
         r1.Chaos.transport.Reliable.retransmissions
@@ -109,7 +111,7 @@ let test_fault_free_chaos_is_quiet () =
   assert_healthy "quiet" r;
   Alcotest.(check int) "no retransmissions" 0 r.Chaos.transport.Reliable.retransmissions;
   Alcotest.(check int) "no duplicates" 0 r.Chaos.transport.Reliable.dup_dropped;
-  Alcotest.(check int) "nothing dropped" 0 r.Chaos.dropped
+  Alcotest.(check int) "nothing dropped" 0 r.Chaos.stats.Node_stats.wire_dropped
 
 let test_online_clean_on_real_protocol () =
   (* The online checker riding along must agree the real protocol is
@@ -172,20 +174,21 @@ let test_batching_soak () =
       Alcotest.(check (option string))
         (Printf.sprintf "seed %Ld: online clean with batching" seed)
         None on_.Chaos.online_violation;
+      let frames r = r.Chaos.stats.Node_stats.physical_frames in
+      let logical r = r.Chaos.stats.Node_stats.logical_messages in
       Alcotest.(check bool)
-        (Printf.sprintf "seed %Ld: fewer physical frames (%d vs %d)" seed
-           on_.Chaos.messages off.Chaos.messages)
+        (Printf.sprintf "seed %Ld: fewer physical frames (%d vs %d)" seed (frames on_)
+           (frames off))
         true
-        (on_.Chaos.messages < off.Chaos.messages);
+        (frames on_ < frames off);
       (* Logical counts may differ only through RPC retries drawing
          different loss patterns; they must stay in the same ballpark, not
          track the frame reduction. *)
       Alcotest.(check bool)
-        (Printf.sprintf "seed %Ld: logical count comparable (%d vs %d)" seed
-           on_.Chaos.logical_messages off.Chaos.logical_messages)
+        (Printf.sprintf "seed %Ld: logical count comparable (%d vs %d)" seed (logical on_)
+           (logical off))
         true
-        (abs (on_.Chaos.logical_messages - off.Chaos.logical_messages)
-        <= off.Chaos.logical_messages / 4))
+        (abs (logical on_ - logical off) <= logical off / 4))
     [ 1L; 2L; 3L; 4L; 5L ]
 
 let test_batching_off_reports_identical_wire () =
@@ -195,33 +198,31 @@ let test_batching_off_reports_identical_wire () =
      two runs of the same seed (the determinism test covers run-to-run;
      this pins messages = logical with no batch frames at defaults). *)
   let r = Chaos.mix ~knobs:(knobs ()) ~seed:2025L () in
-  (* [messages] counts frames that actually went live: every logical
-     payload's first transmit, every retransmission and explicit ack, plus
-     injected duplicates, minus the frames the fault model swallowed at
-     the sender. *)
+  let s = r.Chaos.stats in
+  (* [physical_frames] counts frames that actually went live: every
+     logical payload's first transmit, every retransmission and explicit
+     ack, plus injected duplicates, minus the frames the fault model
+     swallowed at the sender. *)
   Alcotest.(check int) "every frame is one logical payload + acks"
-    r.Chaos.messages
-    (r.Chaos.logical_messages + r.Chaos.transport.Reliable.acks
-    + r.Chaos.transport.Reliable.retransmissions + r.Chaos.duplicated
-    - r.Chaos.dropped);
+    s.Node_stats.physical_frames
+    (s.Node_stats.logical_messages + r.Chaos.transport.Reliable.acks
+    + r.Chaos.transport.Reliable.retransmissions + s.Node_stats.wire_duplicated
+    - s.Node_stats.wire_dropped);
   Alcotest.(check int) "logical = transport sent counter"
-    r.Chaos.logical_messages r.Chaos.transport.Reliable.sent
+    s.Node_stats.logical_messages r.Chaos.transport.Reliable.sent
 
 let test_cluster_stats_consistent () =
-  (* The unified stats record must agree with the bespoke accessor-based
-     report fields it consolidates. *)
+  (* The unified stats record must agree with the transport's own counter
+     record and with the ownership view, the report's other sources. *)
   let r = Chaos.owner_crash ~knobs:(knobs ()) ~seed:42L () in
   let s = r.Chaos.stats in
-  Alcotest.(check int) "wire_dropped" r.Chaos.dropped s.Dsm_causal.Node_stats.wire_dropped;
-  Alcotest.(check int) "duplicated" r.Chaos.duplicated s.Dsm_causal.Node_stats.wire_duplicated;
-  Alcotest.(check int) "retransmissions"
-    r.Chaos.transport.Reliable.retransmissions
-    s.Dsm_causal.Node_stats.retransmissions;
-  Alcotest.(check int) "rpc_timeouts" r.Chaos.rpc_timeouts s.Dsm_causal.Node_stats.rpc_timeouts;
-  Alcotest.(check int) "stale_replies" r.Chaos.stale_replies s.Dsm_causal.Node_stats.stale_replies;
-  Alcotest.(check int) "takeovers" r.Chaos.takeovers s.Dsm_causal.Node_stats.takeovers;
-  Alcotest.(check int) "suspects" r.Chaos.suspects s.Dsm_causal.Node_stats.suspects;
-  Alcotest.(check int) "unsuspects" r.Chaos.unsuspects s.Dsm_causal.Node_stats.unsuspects
+  let t = r.Chaos.transport in
+  Alcotest.(check int) "logical_messages" t.Reliable.sent s.Node_stats.logical_messages;
+  Alcotest.(check int) "retransmissions" t.Reliable.retransmissions
+    s.Node_stats.retransmissions;
+  Alcotest.(check int) "resyncs" t.Reliable.resyncs s.Node_stats.resyncs;
+  Alcotest.(check int) "takeovers" (List.length r.Chaos.view) s.Node_stats.takeovers;
+  Alcotest.(check bool) "suspects" true (s.Node_stats.suspects >= s.Node_stats.takeovers)
 
 let suite =
   [

@@ -7,6 +7,7 @@ module Engine = Dsm_sim.Engine
 module Proc = Dsm_runtime.Proc
 module Latency = Dsm_net.Latency
 module Cluster = Dsm_causal.Cluster
+module Node_stats = Dsm_causal.Node_stats
 module Node = Dsm_causal.Node
 module Stamped = Dsm_causal.Stamped
 module Detector = Dsm_causal.Detector
@@ -52,7 +53,7 @@ let test_writes_are_shadowed () =
   (* v3 is owned by node 0 too (3 mod 3 = 0), so it shadows to node 1. *)
   Alcotest.(check bool) "remote certification shadowed too" true
     (Node.shadow_lookup (Cluster.node c 1) ~base:0 (v 3) <> None);
-  Alcotest.(check int) "nothing degraded" 0 (Cluster.shadow_degraded c)
+  Alcotest.(check int) "nothing degraded" 0 (Cluster.cluster_stats c).Node_stats.shadow_degraded
 
 let test_no_detector_means_no_shadows () =
   let e, s, c = setup () in
@@ -87,7 +88,7 @@ let test_owner_crash_promotes_backup () =
   Engine.run e;
   Proc.check s;
   Alcotest.(check (list string)) "nobody blocked" [] (Proc.unfinished s);
-  Alcotest.(check int) "one takeover" 1 (Cluster.takeovers c);
+  Alcotest.(check int) "one takeover" 1 (Cluster.cluster_stats c).Node_stats.takeovers;
   Alcotest.(check int) "base 0 under epoch 1" 1 (Cluster.epoch_of c ~base:0);
   Alcotest.(check int) "served by the backup" 1 (Cluster.serving_of c ~base:0);
   (* The pre-crash write survived via the shadow; the post-takeover write
@@ -99,7 +100,7 @@ let test_owner_crash_promotes_backup () =
       Alcotest.(check bool) "new owner serves new writes" true (after = Value.Int 2)
   | _ -> Alcotest.fail "client did not complete its reads");
   Alcotest.(check bool) "backup was suspected into promoting" true
-    (Cluster.suspect_events c >= 1);
+    ((Cluster.cluster_stats c).Node_stats.suspects >= 1);
   Alcotest.(check bool) "history stays causal" true (Check.is_correct (Cluster.history c))
 
 let test_takeover_is_idempotent_across_epochs () =
@@ -143,7 +144,8 @@ let test_stale_owner_is_fenced_and_client_redirected () =
   Engine.run e;
   Proc.check s;
   Alcotest.(check (list string)) "client completed" [] (Proc.unfinished s);
-  Alcotest.(check bool) "redirected at least once" true (Cluster.redirects c >= 1);
+  Alcotest.(check bool) "redirected at least once" true
+    ((Cluster.cluster_stats c).Node_stats.redirects >= 1);
   Alcotest.(check int) "client learned the epoch" 1
     (Node.epoch_of (Cluster.node c 2) ~base:0);
   Alcotest.(check bool) "write served by the new owner" true (!got = Some (Value.Int 2));
@@ -170,8 +172,9 @@ let test_read_degrades_to_shadow_while_owner_suspected () =
   Engine.run e;
   Proc.check s;
   Alcotest.(check (list int)) "node 2 suspects node 0" [ 0 ] (Cluster.suspected_by c 2);
-  Alcotest.(check int) "but nobody promoted" 0 (Cluster.takeovers c);
-  Alcotest.(check int) "read served from the shadow" 1 (Cluster.shadow_reads c);
+  Alcotest.(check int) "but nobody promoted" 0 (Cluster.cluster_stats c).Node_stats.takeovers;
+  Alcotest.(check int) "read served from the shadow"
+    1 (Cluster.cluster_stats c).Node_stats.shadow_reads;
   Alcotest.(check bool) "and saw the acknowledged write" true (!got = Some (Value.Int 7));
   Alcotest.(check bool) "history stays causal" true (Check.is_correct (Cluster.history c))
 
@@ -220,7 +223,8 @@ let test_promotion_survives_backup_restart () =
   Engine.schedule_at e 6.0 (fun () -> Cluster.crash c 0);
   (* Let the takeover happen, then bounce the promoted backup. *)
   Engine.schedule_at e 40.0 (fun () ->
-      Alcotest.(check int) "backup promoted before the bounce" 1 (Cluster.takeovers c);
+      Alcotest.(check int) "backup promoted before the bounce"
+        1 (Cluster.cluster_stats c).Node_stats.takeovers;
       Cluster.crash c 1;
       Cluster.restart c 1);
   let got = ref None in
@@ -245,7 +249,8 @@ let test_wal_sync_fault_is_tolerated () =
          Cluster.write (Cluster.handle c 0) (v 0) (Value.Int 1)));
   Engine.run e;
   Proc.check s;
-  Alcotest.(check int) "failure counted, not raised" 1 (Cluster.wal_sync_failures c);
+  Alcotest.(check int) "failure counted, not raised"
+    1 (Cluster.cluster_stats c).Node_stats.wal_sync_failures;
   Alcotest.(check int) "the entry was lost from the log" 0 (Wal.length (Cluster.wal c 0));
   (* A later checkpoint recaptures it from volatile memory. *)
   Cluster.checkpoint_now c 0;
@@ -268,7 +273,7 @@ let assert_failover_healthy name (r : Dsm_apps.Chaos.report) =
   Alcotest.(check (list (pair string (float 0.0))))
     (name ^ ": nobody blocked") [] r.Chaos.unfinished;
   Alcotest.(check int) (name ^ ": one crash") 1 r.Chaos.crashes;
-  Alcotest.(check int) (name ^ ": one takeover") 1 r.Chaos.takeovers;
+  Alcotest.(check int) (name ^ ": one takeover") 1 r.Chaos.stats.Node_stats.takeovers;
   Alcotest.(check (list (triple int int int)))
     (name ^ ": backup serves base 0 under epoch 1")
     [ (0, 1, 1) ] r.Chaos.view
@@ -279,7 +284,8 @@ let test_owner_crash_scenario () =
   let r2 = Chaos.owner_crash ~seed:42L () in
   assert_failover_healthy "owner-crash" r1;
   Alcotest.(check int) "same ops across same-seed runs" r1.Chaos.ops r2.Chaos.ops;
-  Alcotest.(check int) "same messages" r1.Chaos.messages r2.Chaos.messages;
+  Alcotest.(check int) "same messages"
+    r1.Chaos.stats.Node_stats.physical_frames r2.Chaos.stats.Node_stats.physical_frames;
   Alcotest.(check (float 0.0)) "same sim time" r1.Chaos.sim_time r2.Chaos.sim_time
 
 let test_failover_scenario_restores_victim () =
@@ -289,7 +295,8 @@ let test_failover_scenario_restores_victim () =
   Alcotest.(check (option string))
     "restarted victim demoted by gossip" (Some "true")
     (List.assoc_opt "victim_demoted" r.Chaos.notes);
-  Alcotest.(check bool) "victim recovery unsuspected it" true (r.Chaos.unsuspects > 0)
+  Alcotest.(check bool) "victim recovery unsuspected it"
+    true (r.Chaos.stats.Node_stats.unsuspects > 0)
 
 let test_failover_soak_across_seeds () =
   (* Heavier, multi-seed pass — the non-blocking CI job's bread and
@@ -307,7 +314,7 @@ let test_failover_soak_across_seeds () =
         (name ^ ": nobody blocked") [] r1.Chaos.unfinished;
       Alcotest.(check int) (name ^ ": one crash") 1 r1.Chaos.crashes;
       Alcotest.(check bool) (name ^ ": at least one takeover") true
-        (r1.Chaos.takeovers >= 1);
+        (r1.Chaos.stats.Node_stats.takeovers >= 1);
       (match List.find_opt (fun (base, _, _) -> base = 0) r1.Chaos.view with
       | Some (_, serving, epoch) ->
           Alcotest.(check bool) (name ^ ": victim handed base 0 off") true
@@ -315,7 +322,7 @@ let test_failover_soak_across_seeds () =
       | None -> Alcotest.fail (name ^ ": no view entry for the victim's base"));
       Alcotest.(check int)
         (Printf.sprintf "seed %Ld deterministic" seed)
-        r1.Chaos.messages r2.Chaos.messages)
+        r1.Chaos.stats.Node_stats.physical_frames r2.Chaos.stats.Node_stats.physical_frames)
     [ 1L; 7L; 42L; 1337L ]
 
 let suite =

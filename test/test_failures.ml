@@ -203,7 +203,8 @@ let test_timeout_with_reliable_transport_still_bounded () =
   | _ -> Alcotest.fail "expected a timeout");
   Alcotest.(check (list string)) "quiesced with nothing stuck" [] (Proc.unfinished s);
   let r = Option.get (Cluster.reliable c) in
-  Alcotest.(check bool) "transport gave up" true (Dsm_net.Reliable.gave_up r > 0)
+  Alcotest.(check bool) "transport gave up" true
+    ((Dsm_net.Reliable.counters r).Dsm_net.Reliable.gave_up > 0)
 
 let test_retry_succeeds_after_heal () =
   (* The link comes back between attempts: the retry goes through and the
@@ -241,6 +242,50 @@ let test_late_reply_counted_stale () =
   | Some (Ok _) -> ()
   | _ -> Alcotest.fail "read should eventually succeed");
   Alcotest.(check bool) "late replies discarded" true (Cluster.stale_replies c >= 1)
+
+let test_kept_getters_match_cluster_stats () =
+  (* The single-value wire and RPC getters [Cluster] keeps must read exactly
+     the matching [cluster_stats] fields.  A lossy batching transport makes
+     logical and physical counts differ; a slow reply link makes attempts
+     time out and their late replies go stale, while a crashed owner makes
+     attempts time out with no reply at all.  So all four counts are
+     non-zero and distinct, and a getter reading the wrong counter fails. *)
+  let e = Engine.create () in
+  let s = Proc.scheduler e in
+  let c =
+    Cluster.create ~sched:s ~owner:(Owner.by_index ~nodes:3) ~latency:(Latency.Constant 1.0)
+      ~fault:(Network.fault ~drop:0.1 ~duplicate:0.05 ())
+      ~reliability:Dsm_net.Reliable.batching_config
+      ~rpc:{ Cluster.timeout = 5.0; retries = 5 } ()
+  in
+  let net = Dsm_net.Reliable.net (Option.get (Cluster.reliable c)) in
+  Network.set_link_latency net ~src:1 ~dst:0 (Latency.Constant 12.0);
+  ignore
+    (Proc.spawn s ~name:"healer" ~delay:5.5 (fun () ->
+         Network.set_link_latency net ~src:1 ~dst:0 (Latency.Constant 1.0)));
+  Cluster.crash c 2;
+  ignore (Proc.spawn s ~name:"restarter" ~delay:12.0 (fun () -> Cluster.restart c 2));
+  for pid = 0 to 1 do
+    ignore
+      (Proc.spawn s ~name:(Printf.sprintf "client%d" pid) (fun () ->
+           let h = Cluster.handle c pid in
+           for k = 0 to 5 do
+             ignore (Cluster.write_result h (v ((pid + k) mod 3)) (Value.Int ((10 * pid) + k)));
+             ignore (Cluster.read_result h (v ((pid + k + 1) mod 3)))
+           done))
+  done;
+  Engine.run e;
+  let st = Cluster.cluster_stats c in
+  let module S = Dsm_causal.Node_stats in
+  Alcotest.(check int) "logical_messages" st.S.logical_messages (Cluster.logical_messages c);
+  Alcotest.(check int) "physical_frames" st.S.physical_frames (Cluster.physical_frames c);
+  Alcotest.(check int) "rpc_timeouts" st.S.rpc_timeouts (Cluster.rpc_timeouts c);
+  Alcotest.(check int) "stale_replies" st.S.stale_replies (Cluster.stale_replies c);
+  Alcotest.(check bool) "batching split logical from physical" true
+    (st.S.logical_messages <> st.S.physical_frames);
+  Alcotest.(check bool) "late replies went stale" true (st.S.stale_replies > 0);
+  Alcotest.(check bool) "some attempts got no reply" true
+    (st.S.rpc_timeouts > st.S.stale_replies)
 
 let test_duplicate_write_certification_is_idempotent () =
   (* A WRITE retry reaching the owner twice must not flip the decision:
@@ -310,7 +355,8 @@ let test_crashed_node_drops_messages_and_ops_fail () =
     (Proc.spawn s ~name:"other" (fun () ->
          Cluster.write (Cluster.handle c 0) (v 0) (Value.Int 3)));
   Engine.run e;
-  Alcotest.(check int) "no deliveries at crashed node" 0 (Cluster.dropped_at_crashed c)
+  Alcotest.(check int) "no deliveries at crashed node" 0
+    (Cluster.cluster_stats c).Dsm_causal.Node_stats.dropped_at_crashed
 
 let test_restart_continues_causally_correct () =
   let e, s, c = cacheonly_setup () in
@@ -401,6 +447,8 @@ let suite =
       test_timeout_with_reliable_transport_still_bounded;
     Alcotest.test_case "retry succeeds after heal" `Quick test_retry_succeeds_after_heal;
     Alcotest.test_case "late reply counted stale" `Quick test_late_reply_counted_stale;
+    Alcotest.test_case "kept getters match cluster_stats" `Quick
+      test_kept_getters_match_cluster_stats;
     Alcotest.test_case "duplicate certification idempotent" `Quick
       test_duplicate_write_certification_is_idempotent;
     Alcotest.test_case "crash discards cache+clock" `Quick test_crash_discards_cache_and_clock;

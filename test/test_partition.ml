@@ -8,6 +8,7 @@ module Engine = Dsm_sim.Engine
 module Proc = Dsm_runtime.Proc
 module Latency = Dsm_net.Latency
 module Cluster = Dsm_causal.Cluster
+module Node_stats = Dsm_causal.Node_stats
 module Detector = Dsm_causal.Detector
 module Owner = Dsm_memory.Owner
 module Chaos = Dsm_apps.Chaos
@@ -58,33 +59,34 @@ let test_false_suspicion_cannot_depose () =
   Engine.run e;
   Proc.check s;
   Alcotest.(check bool) "observer ran to completion" true !checked;
-  Alcotest.(check int) "exactly one (false) suspicion" 1 (Cluster.suspect_events c);
-  Alcotest.(check int) "cleared on heal" 1 (Cluster.unsuspect_events c);
+  Alcotest.(check int) "exactly one (false) suspicion"
+    1 (Cluster.cluster_stats c).Node_stats.suspects;
+  Alcotest.(check int) "cleared on heal" 1 (Cluster.cluster_stats c).Node_stats.unsuspects;
   Alcotest.(check int) "no vote crossed the check-quorum rule" 0
-    (Cluster.votes_granted c);
-  Alcotest.(check int) "nobody was deposed" 0 (Cluster.takeovers c)
+    (Cluster.cluster_stats c).Node_stats.votes_granted;
+  Alcotest.(check int) "nobody was deposed" 0 (Cluster.cluster_stats c).Node_stats.takeovers
 
 (* {1 Chaos scenarios} *)
 
 let test_partition_scenario_report () =
   let r = Chaos.run ~seed:1L "partition" in
   Alcotest.(check bool) "healthy" true (Chaos.healthy r);
-  Alcotest.(check int) "exactly one quorum takeover" 1 r.Chaos.takeovers;
+  Alcotest.(check int) "exactly one quorum takeover" 1 r.Chaos.stats.Node_stats.takeovers;
   Alcotest.(check (list (triple int int int)))
     "the majority-side backup serves base 0 at epoch 1"
     [ (0, 1, 1) ]
     r.Chaos.view;
   Alcotest.(check bool) "the deposed owner resumed after the heal" true
-    (note_int r "partition_heals" >= 1);
+    (r.Chaos.stats.Node_stats.partition_heals >= 1);
   Alcotest.(check bool) "quorum needed at least two remote grants" true
-    (note_int r "votes_granted" >= 2);
+    (r.Chaos.stats.Node_stats.votes_granted >= 2);
   Alcotest.(check bool) "the nemesis plan is recorded in the notes" true
     (List.mem_assoc "nemesis_0" r.Chaos.notes)
 
 let test_split_brain_scenario_report () =
   let r = Chaos.run ~seed:1L "split-brain" in
   Alcotest.(check bool) "healthy" true (Chaos.healthy r);
-  Alcotest.(check int) "only the contested base is taken over" 1 r.Chaos.takeovers;
+  Alcotest.(check int) "only the contested base is taken over" 1 r.Chaos.stats.Node_stats.takeovers;
   Alcotest.(check (list (triple int int int)))
     "base 1 (minority-owned, majority successor) moves to node 2"
     [ (1, 1, 2) ]
@@ -107,7 +109,7 @@ let test_scenario_soak () =
             true (Chaos.healthy r);
           Alcotest.(check int)
             (Printf.sprintf "%s seed %Ld: exactly one takeover" scenario seed)
-            1 r.Chaos.takeovers)
+            1 r.Chaos.stats.Node_stats.takeovers)
         [ 1L; 2L; 3L; 4L; 5L ];
       (* Any given seed's minority-side ops may all be reads, but across
          the seed set the degraded owners must have refused some writes. *)

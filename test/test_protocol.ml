@@ -14,13 +14,7 @@ let fresh_state () = Gen.fresh_state ()
 
 let generate ~seed ~steps = Gen.random_run ~seed ~steps ()
 
-let summary st =
-  ( P.dropped_at_crashed st,
-    P.takeovers st,
-    P.shadow_degraded st,
-    P.suspect_events st,
-    P.unsuspect_events st,
-    P.view st )
+let summary st = (P.counters st, P.view st)
 
 let test_deterministic_replay () =
   List.iter
@@ -79,14 +73,14 @@ let test_crashed_nodes_drop () =
   let st = fresh_state () in
   let _, acts = P.step st (P.Crash { node = 2 }) in
   Alcotest.(check bool) "crash itself is silent" true (acts = []);
-  let before = P.dropped_at_crashed st in
+  let before = (P.counters st).P.dropped_at_crashed in
   let _, acts =
     P.step st
       (P.Deliver
          { dst = 2; src = 0; now = 1.0; msg = Message.Heartbeat { view = [] } })
   in
   Alcotest.(check bool) "delivery to crashed node does nothing" true (acts = []);
-  Alcotest.(check int) "and is counted" (before + 1) (P.dropped_at_crashed st);
+  Alcotest.(check int) "and is counted" (before + 1) (P.counters st).P.dropped_at_crashed;
   let _, acts = P.step st (P.Hb_tick { node = 2; now = 2.0 }) in
   Alcotest.(check bool) "tick at crashed node does nothing" true (acts = [])
 

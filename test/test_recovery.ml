@@ -45,8 +45,9 @@ let test_whole_cluster_restart_restores_frontier () =
   Engine.run engine;
   Proc.check sched;
   power_cycle c ~nodes;
-  Alcotest.(check int) "every node recovered" nodes (Cluster.recoveries c);
-  Alcotest.(check bool) "something was replayed" true (Cluster.replayed_records c > 0);
+  Alcotest.(check int) "every node recovered" nodes (Cluster.cluster_stats c).Node_stats.recoveries;
+  Alcotest.(check bool) "something was replayed"
+    true ((Cluster.cluster_stats c).Node_stats.replayed_records > 0);
   ignore
     (Proc.spawn sched ~name:"readers" (fun () ->
          for pid = 0 to nodes - 1 do
@@ -73,7 +74,7 @@ let test_coordinated_round_completes () =
          Cluster.begin_checkpoint c 0));
   Engine.run engine;
   Proc.check sched;
-  Alcotest.(check int) "one recovery line" 1 (Cluster.recovery_lines c);
+  Alcotest.(check int) "one recovery line" 1 (Cluster.cluster_stats c).Node_stats.recovery_lines;
   for pid = 0 to nodes - 1 do
     Alcotest.(check int)
       (Printf.sprintf "node %d joined round 1" pid)
@@ -87,7 +88,7 @@ let test_coordinated_round_completes () =
   power_cycle c ~nodes;
   (* Each log was compacted to its snapshot: replay is one record per node. *)
   Alcotest.(check int) "replay is just the snapshots" nodes
-    (Cluster.replayed_records c);
+    (Cluster.cluster_stats c).Node_stats.replayed_records;
   ignore
     (Proc.spawn sched ~name:"reader" (fun () ->
          let got = Cluster.read (Cluster.handle c 1) (v 0) in
@@ -153,7 +154,7 @@ let replayed_after_cycle ~checkpoint_every =
   Engine.run engine;
   Proc.check sched;
   power_cycle c ~nodes;
-  Cluster.replayed_records c
+  (Cluster.cluster_stats c).Node_stats.replayed_records
 
 let test_checkpoints_bound_replay () =
   let with_cp = replayed_after_cycle ~checkpoint_every:(Some 5.0) in
@@ -186,14 +187,13 @@ let test_power_failure_chaos_healthy () =
       Alcotest.(check int)
         (Printf.sprintf "all nodes crashed at seed %Ld" seed)
         4 r.Chaos.crashes;
-      Alcotest.(check string)
+      Alcotest.(check int)
         (Printf.sprintf "all nodes recovered at seed %Ld" seed)
-        "4"
-        (List.assoc "recoveries" r.Chaos.notes);
+        4 r.Chaos.stats.Node_stats.recoveries;
       Alcotest.(check bool)
         (Printf.sprintf "coordinated line reported at seed %Ld" seed)
         true
-        (int_of_string (List.assoc "recovery_lines" r.Chaos.notes) >= 1))
+        (r.Chaos.stats.Node_stats.recovery_lines >= 1))
     [ 1L; 2L; 3L ]
 
 (* The recovery bench's machine-readable claim, at the quick grid. *)

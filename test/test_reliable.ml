@@ -105,7 +105,7 @@ let test_healed_link_revives_after_give_up () =
   Network.set_link_down (Reliable.net r) ~src:0 ~dst:1 true;
   Reliable.send r ~src:0 ~dst:1 1;
   Engine.run e;
-  Alcotest.(check int) "first payload lost" 1 (Reliable.gave_up r);
+  Alcotest.(check int) "first payload lost" 1 (Reliable.counters r).Reliable.gave_up;
   Network.set_link_down (Reliable.net r) ~src:0 ~dst:1 false;
   Reliable.send r ~src:0 ~dst:1 2;
   Engine.run e;
@@ -129,7 +129,8 @@ let test_partition_outliving_retries_resyncs_via_base () =
   Reliable.send r ~src:0 ~dst:1 4;
   Reliable.send r ~src:0 ~dst:1 5;
   Engine.run e;
-  Alcotest.(check int) "partition outlived the retries" 2 (Reliable.gave_up r);
+  Alcotest.(check int) "partition outlived the retries" 2
+    (Reliable.counters r).Reliable.gave_up;
   Alcotest.(check (list (pair int int))) "link reported dead" [ (0, 1) ]
     (Reliable.dead_links r);
   Network.set_link_down (Reliable.net r) ~src:0 ~dst:1 false;
@@ -166,7 +167,7 @@ let test_fast_retransmit_on_dup_acks () =
   let c = Reliable.counters r in
   Alcotest.(check int) "exactly one retransmission" 1 c.Reliable.retransmissions;
   Alcotest.(check int) "and it was dup-ack-triggered, not the timer" 1
-    (Reliable.fast_rexmits r);
+    c.Reliable.fast_rexmits;
   let t1 = List.assoc 1 !delivered in
   Alcotest.(check bool)
     (Printf.sprintf "gap closed at t=%g, well inside the %g rto" t1
@@ -192,7 +193,8 @@ let test_flipping_oneway_partition_heals_both_ways () =
   Engine.run e;
   Alcotest.(check (list (pair int int)))
     "reverse data still got through exactly once" [ (1, 10) ] (got0 ());
-  Alcotest.(check int) "both senders exhausted their retries" 2 (Reliable.gave_up r);
+  Alcotest.(check int) "both senders exhausted their retries" 2
+    (Reliable.counters r).Reliable.gave_up;
   Alcotest.(check (list (pair int int)))
     "both directions dead" [ (0, 1); (1, 0) ]
     (List.sort compare (Reliable.dead_links r));
@@ -206,7 +208,7 @@ let test_flipping_oneway_partition_heals_both_ways () =
   Reliable.send r ~src:1 ~dst:0 12 (* abandoned *);
   Reliable.send r ~src:0 ~dst:1 3 (* delivered, acks die, link gives up *);
   Engine.run e;
-  Alcotest.(check int) "two more give-ups after the flip" 4 (Reliable.gave_up r);
+  Alcotest.(check int) "two more give-ups after the flip" 4 (Reliable.counters r).Reliable.gave_up;
   Network.heal_all net;
   Engine.run e;
   Reliable.send r ~src:0 ~dst:1 4;
@@ -221,7 +223,8 @@ let test_flipping_oneway_partition_heals_both_ways () =
     [ (1, 10); (1, 11); (1, 13) ]
     (got0 ());
   Alcotest.(check (list (pair int int))) "all links revived" [] (Reliable.dead_links r);
-  Alcotest.(check bool) "heals resynced the dead links" true (Reliable.resyncs r >= 2);
+  Alcotest.(check bool) "heals resynced the dead links" true
+    ((Reliable.counters r).Reliable.resyncs >= 2);
   Alcotest.(check int) "drained" 0 (Reliable.in_flight r)
 
 let test_ack_loss_causes_dup_suppression () =
@@ -377,7 +380,7 @@ let test_batching_exactly_once_under_loss () =
         (Printf.sprintf "seed %Ld: exactly once, in order" seed)
         (List.init n (fun i -> (0, i + 1)))
         (got ());
-      Alcotest.(check int) "nothing abandoned" 0 (Reliable.gave_up r);
+      Alcotest.(check int) "nothing abandoned" 0 (Reliable.counters r).Reliable.gave_up;
       Alcotest.(check int) "drained" 0 (Reliable.in_flight r))
     [ 7L; 19L; 23L ]
 
