@@ -9,6 +9,7 @@
      workload  run a random workload and classify its execution
      chaos     run a workload over lossy links with the reliable transport
      bench     transport perf baseline: batching on vs off, JSON artifact
+     mc        exhaustively model-check a small scope through the protocol core
 *)
 
 open Cmdliner
@@ -17,6 +18,22 @@ module Check = Dsm_checker.Causal_check
 module Consistency = Dsm_checker.Consistency
 module History = Dsm_memory.History
 module Table = Dsm_util.Table
+
+(* [--mutation NAME], for [chaos] and [mc]: names come from
+   [Config.mutations], so a new mutation needs no help-text edit. *)
+let mutation_arg ~doc =
+  let module Config = Dsm_causal.Config in
+  let mconv =
+    Arg.conv
+      ( (fun s ->
+          match Config.mutation_of_string s with
+          | Some m -> Ok m
+          | None -> Error (`Msg (Printf.sprintf "unknown mutation %S" s))),
+        fun ppf m -> Format.pp_print_string ppf (Config.mutation_name m) )
+  in
+  Arg.(value & opt mconv Config.No_mutation
+       & info [ "mutation" ]
+           ~doc:(Printf.sprintf doc (String.concat ", " (List.map fst Config.mutations))))
 
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
@@ -288,24 +305,11 @@ let chaos_cmd =
                    scenario executes; the first illegal read fails the run immediately.")
   in
   let mutation =
-    (* Hidden fault injection: proves the checkers catch real protocol
-       bugs, not just synthetic histories.  Kept out of the manual's main
-       flag list on purpose. *)
-    let mconv =
-      Arg.conv
-        ( (fun s ->
-            match Dsm_causal.Config.mutation_of_string s with
-            | Some m -> Ok m
-            | None -> Error (`Msg (Printf.sprintf "unknown mutation %S" s))),
-          fun ppf m -> Format.pp_print_string ppf (Dsm_causal.Config.mutation_name m) )
-    in
-    Arg.(value & opt mconv Dsm_causal.Config.No_mutation
-         & info [ "mutation" ]
-             ~doc:"TEST ONLY: break one protocol rule (skip-invalidation, \
-                   skip-writestamp-merge, reorder-apply-ack, ignore-epoch-fence, \
-                   skip-shadow-replication, truncate-wal-early, \
-                   prune-share-set-wrongly, merge-drops-op), deliberately \
-                   compromising causal consistency or durability.")
+    (* Fault injection: proves the checkers catch real protocol bugs, not
+       just synthetic histories. *)
+    mutation_arg
+      ~doc:"TEST ONLY: break one protocol rule (%s), deliberately compromising causal \
+            consistency or durability."
   in
   let batching =
     Arg.(value & flag
@@ -476,6 +480,37 @@ let bench_cmd =
 (* mc                                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* A node program is a whitespace-separated list of "w(loc)value" and
+   "r(loc)" tokens, e.g. "w(x)1 r(y)". *)
+let parse_program text =
+  let parse_token token =
+    let fail msg = Error (Printf.sprintf "bad op %S: %s" token msg) in
+    if String.length token < 4 then fail "too short"
+    else if token.[1] <> '(' then fail "expected '('"
+    else
+      match (token.[0], String.index_opt token ')') with
+      | _, None -> fail "missing ')'"
+      | 'r', Some close when close = String.length token - 1 ->
+          Ok (Dsm_mc.Gen.Read (Dsm_memory.Loc.of_string (String.sub token 2 (close - 2))))
+      | 'r', Some _ -> fail "reads take no value"
+      | 'w', Some close -> (
+          let loc = Dsm_memory.Loc.of_string (String.sub token 2 (close - 2)) in
+          let rest = String.sub token (close + 1) (String.length token - close - 1) in
+          match int_of_string_opt rest with
+          | Some v -> Ok (Dsm_mc.Gen.Write (loc, Dsm_memory.Value.Int v))
+          | None -> fail "write needs an integer value")
+      | _, _ -> fail "ops start with r or w"
+  in
+  let tokens = String.split_on_char ' ' text |> List.filter (fun t -> t <> "") in
+  List.fold_left
+    (fun acc token ->
+      match (acc, parse_token token) with
+      | Error e, _ -> Error e
+      | Ok ops, Ok op -> Ok (op :: ops)
+      | Ok _, Error e -> Error e)
+    (Ok []) tokens
+  |> Result.map List.rev
+
 let mc_cmd =
   let module Gen = Dsm_mc.Gen in
   let module Explore = Dsm_mc.Explore in
@@ -502,20 +537,16 @@ let mc_cmd =
          & info [ "max-states" ] ~doc:"Distinct states to explore before truncating (default 200000).")
   in
   let mutation =
-    let mconv =
-      Arg.conv
-        ( (fun s ->
-            match Dsm_causal.Config.mutation_of_string s with
-            | Some m -> Ok m
-            | None -> Error (`Msg (Printf.sprintf "unknown mutation %S" s))),
-          fun ppf m -> Format.pp_print_string ppf (Dsm_causal.Config.mutation_name m) )
-    in
-    Arg.(value & opt mconv Dsm_causal.Config.No_mutation
-         & info [ "mutation" ]
-             ~doc:"Break one protocol rule (skip-invalidation, skip-writestamp-merge, \
-                   reorder-apply-ack, ignore-epoch-fence, skip-shadow-replication, \
-                   truncate-wal-early, prune-share-set-wrongly, merge-drops-op); the \
-                   checker is then expected to find a counterexample.")
+    mutation_arg
+      ~doc:"Break one protocol rule (%s); the checker is then expected to find a \
+            counterexample."
+  in
+  let progs =
+    Arg.(value & opt_all string []
+         & info [ "prog"; "p" ] ~docv:"PROGRAM"
+             ~doc:"One node's program, e.g. \"w(x)1 r(y)\"; repeat per node.  Builds the \
+                   scope from these programs instead of --scope or --nodes/--ops, with \
+                   locations assigned to owners by hash.")
   in
   let matrix =
     Arg.(value & flag
@@ -546,7 +577,7 @@ let mc_cmd =
           node reason;
         Format.printf "  schedule: %a@." Explore.pp_schedule c.Explore.schedule
   in
-  let run scope nodes ops faults max_states mutation matrix no_reduction cex_file =
+  let run scope progs nodes ops faults max_states mutation matrix no_reduction cex_file =
     if matrix then begin
       let entries = Explore.run_matrix ~max_states () in
       let failed =
@@ -576,9 +607,25 @@ let mc_cmd =
     end
     else begin
       let base =
-        match scope with
-        | Some name -> Option.get (Gen.preset name)
-        | None ->
+        match (scope, progs) with
+        | Some _, _ :: _ ->
+            prerr_endline "dsm mc: --scope and --prog are exclusive";
+            exit 2
+        | Some name, [] -> Option.get (Gen.preset name)
+        | None, _ :: _ ->
+            let programs =
+              List.map
+                (fun text ->
+                  match parse_program text with
+                  | Ok ops -> ops
+                  | Error e ->
+                      prerr_endline e;
+                      exit 2)
+                progs
+            in
+            let nodes = List.length programs in
+            Gen.make "programs" ~owner:(Dsm_memory.Owner.by_hash ~nodes) (Array.of_list programs)
+        | None, [] ->
             let fault =
               match faults with
               | `None -> Gen.No_faults
@@ -608,7 +655,7 @@ let mc_cmd =
              state-fingerprint de-duplication and sleep-set reduction, judge each execution \
              with the causal-memory checkers, and shrink any violation to a minimal \
              counterexample; exits nonzero on an unexpected verdict")
-    Term.(const run $ scope $ nodes $ ops $ faults $ max_states $ mutation $ matrix
+    Term.(const run $ scope $ progs $ nodes $ ops $ faults $ max_states $ mutation $ matrix
           $ no_reduction $ cex_file)
 
 (* ------------------------------------------------------------------ *)
@@ -744,102 +791,6 @@ let diagram_cmd =
     (Cmd.info "diagram" ~doc:"Render a history as an ASCII space-time diagram")
     Term.(const run $ path)
 
-(* ------------------------------------------------------------------ *)
-(* model                                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* A node program is a whitespace-separated list of "w(loc)value" and
-   "r(loc)" tokens, e.g. "w(x)1 r(y)". *)
-let parse_program text =
-  let parse_token token =
-    let fail msg = Error (Printf.sprintf "bad op %S: %s" token msg) in
-    if String.length token < 4 then fail "too short"
-    else if token.[1] <> '(' then fail "expected '('"
-    else
-      match (token.[0], String.index_opt token ')') with
-      | _, None -> fail "missing ')'"
-      | 'r', Some close when close = String.length token - 1 ->
-          Ok (Dsm_model.Model.Read (Dsm_memory.Loc.of_string (String.sub token 2 (close - 2))))
-      | 'r', Some _ -> fail "reads take no value"
-      | 'w', Some close -> (
-          let loc = Dsm_memory.Loc.of_string (String.sub token 2 (close - 2)) in
-          let rest = String.sub token (close + 1) (String.length token - close - 1) in
-          match int_of_string_opt rest with
-          | Some v -> Ok (Dsm_model.Model.Write (loc, Dsm_memory.Value.Int v))
-          | None -> fail "write needs an integer value")
-      | _, _ -> fail "ops start with r or w"
-  in
-  let tokens = String.split_on_char ' ' text |> List.filter (fun t -> t <> "") in
-  List.fold_left
-    (fun acc token ->
-      match (acc, parse_token token) with
-      | Error e, _ -> Error e
-      | Ok ops, Ok op -> Ok (op :: ops)
-      | Ok _, Error e -> Error e)
-    (Ok []) tokens
-  |> Result.map List.rev
-
-let model_cmd =
-  let progs =
-    Arg.(non_empty & opt_all string []
-         & info [ "prog"; "p" ] ~docv:"PROGRAM"
-             ~doc:"One node's program, e.g. \"w(x)1 r(y)\".  Repeat per node.")
-  in
-  let variant =
-    Arg.(value
-         & opt
-             (enum
-                [
-                  ("faithful", Dsm_model.Model.Faithful);
-                  ("literal", Dsm_model.Model.Figure4_literal);
-                  ("no-invalidation", Dsm_model.Model.Skip_invalidation);
-                  ("no-certify-merge", Dsm_model.Model.Skip_certify_merge);
-                  ("no-install-merge", Dsm_model.Model.Skip_install_merge);
-                ])
-             Dsm_model.Model.Faithful
-         & info [ "variant" ]
-             ~doc:"Protocol variant: faithful (patched), literal (published Figure 4), or a mutation.")
-  in
-  let show = Arg.(value & flag & info [ "histories" ] ~doc:"Print every distinct execution.") in
-  let run progs variant show =
-    let programs =
-      List.map
-        (fun text ->
-          match parse_program text with
-          | Ok ops -> ops
-          | Error e ->
-              Printf.eprintf "%s\n" e;
-              exit 2)
-        progs
-    in
-    let nodes = List.length programs in
-    let cfg =
-      { Dsm_model.Model.owner_of = (fun l -> Dsm_memory.Loc.hash l mod nodes); programs; policy = Dsm_model.Model.Lww }
-    in
-    let stats = Dsm_model.Model.explore ~variant cfg in
-    Printf.printf "states explored:     %d\n" stats.Dsm_model.Model.states_explored;
-    Printf.printf "distinct executions: %d\n" stats.Dsm_model.Model.terminal_histories;
-    Printf.printf "causal violations:   %d\n" (List.length stats.Dsm_model.Model.violations);
-    List.iter
-      (fun (h, reason) ->
-        Printf.printf "\nVIOLATION (%s):\n%s\n" reason (History.to_string h))
-      stats.Dsm_model.Model.violations;
-    if show then begin
-      print_newline ();
-      List.iteri
-        (fun i h ->
-          Printf.printf "--- execution %d %s\n%s\n" (i + 1)
-            (if Check.is_correct h then "(causal)" else "(VIOLATES)")
-            (History.to_string h))
-        (Dsm_model.Model.distinct_terminal_histories cfg)
-    end;
-    if stats.Dsm_model.Model.violations <> [] then exit 1
-  in
-  Cmd.v
-    (Cmd.info "model"
-       ~doc:"Exhaustively model-check the owner protocol on a small configuration")
-    Term.(const run $ progs $ variant $ show)
-
 let () =
   let info =
     Cmd.info "dsm" ~version:"1.0.0"
@@ -848,4 +799,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ check_cmd; alpha_cmd; diagram_cmd; fig_cmd; solver_cmd; dict_cmd; anomaly_cmd; workload_cmd; chaos_cmd; bench_cmd; mc_cmd; trace_cmd; model_cmd ]))
+          [ check_cmd; alpha_cmd; diagram_cmd; fig_cmd; solver_cmd; dict_cmd; anomaly_cmd; workload_cmd; chaos_cmd; bench_cmd; mc_cmd; trace_cmd ]))

@@ -50,19 +50,21 @@ val board_on_broadcast : mode:Dsm_broadcast.Cbcast.mode -> board_result
 
 type stale_install_result = {
   si_history : Dsm_memory.History.t;
-  si_causal_ok : bool;  (** [true] with the guard; the literal pseudocode
-                            would record a violating history here *)
+  si_causal_ok : bool;  (** [true] with the guard; [false] under the
+                            literal pseudocode *)
   si_stale_drops : int;  (** how many fetched entries the guard refused to
                              cache (>= 1 when the race fired) *)
 }
 
-val stale_install_race : unit -> stale_install_result
+val stale_install_race : ?config:Dsm_causal.Config.t -> unit -> stale_install_result
 (** Drive the protocol through the stale-install race the model checker
     found in Figure 4's literal pseudocode: node P1 (owner of [x]) has a
     read of [y] in flight while it certifies a write of [x] whose causal
     past contains newer writes of [y]; the late reply must not be retained.
-    With the guard the recorded history is causally correct and
-    [si_stale_drops >= 1]; see DESIGN.md, "Findings". *)
+    With the guard ([config] defaults to {!Dsm_causal.Config.default}) the
+    recorded history is causally correct and [si_stale_drops >= 1]; under
+    [Config.Figure4_literal] nothing is dropped and the history violates
+    causality.  See DESIGN.md, "Findings". *)
 
 type dictionary_race_result = {
   dr_delete_outcome : [ `Deleted | `Rejected | `Not_found ];

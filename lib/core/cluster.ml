@@ -722,11 +722,7 @@ let read_stamped h loc =
         in
         match reply with
         | Message.Read_reply { entry; page; digest; _ } ->
-            Node.digest_merge node digest;
-            if Vclock.equal vt_at_request (Node.vt node) then
-              Node.install_batch node ((loc, entry) :: page)
-            else Node.install_transient node ((loc, entry) :: page);
-            Node.enforce_capacity node;
+            Node.install_read_reply node ~vt_at_request ~digest ((loc, entry) :: page);
             record_read entry
         | _ -> assert false
       in

@@ -15,6 +15,8 @@ type mutation =
   | Takeover_without_quorum
   | Prune_share_set_wrongly
   | Merge_drops_op
+  | Figure4_literal
+  | Skip_install_merge
 
 let mutations =
   [
@@ -27,6 +29,8 @@ let mutations =
     ("takeover-without-quorum", Takeover_without_quorum);
     ("prune-share-set-wrongly", Prune_share_set_wrongly);
     ("merge-drops-op", Merge_drops_op);
+    ("figure4-literal", Figure4_literal);
+    ("skip-install-merge", Skip_install_merge);
   ]
 
 let mutation_name = function

@@ -71,6 +71,17 @@ type mutation =
           probe read stays register-legal, so only the generalized object
           checker — spec-legal returns over causal-past linearizations —
           can flag it *)
+  | Figure4_literal
+      (** the published Figure 4 pseudocode verbatim: always cache a
+          fetched READ reply, even when this node's clock grew while the
+          request was in flight.  An owner that certifies a write during
+          its own read then caches a value older than what it now knows
+          and later reads an overwritten value (DESIGN.md, "Findings") *)
+  | Skip_install_merge
+      (** a reader installs fetched entries ([Node.install_batch],
+          [Node.install_transient]) without merging their writestamps into
+          [VT_i]: the reader's later writes carry stamps that do not
+          dominate what it read, so downstream caches keep stale copies *)
 
 val mutations : (string * mutation) list
 (** CLI names for every breaking variant (excludes [No_mutation]). *)

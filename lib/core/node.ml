@@ -269,6 +269,9 @@ let install_remote t loc (entry : Stamped.t) =
   trace t (Trace.Apply { node = t.id; loc; wid = entry.Stamped.wid });
   invalidate_older t entry.stamp
 
+(* [VT_i := update(VT_i, VT')] on the R_REPLY path, unless mutated away. *)
+let merges_installs t = t.config.Config.mutation <> Config.Skip_install_merge
+
 let install_batch t entries =
   (* Keep only entries we may cache: not locally owned, and not already
      cached at least as new. *)
@@ -285,7 +288,7 @@ let install_batch t entries =
   List.iter
     (fun (loc, (entry : Stamped.t)) ->
       note_refetch t loc entry;
-      t.clock <- Vclock.update t.clock entry.stamp;
+      if merges_installs t then t.clock <- Vclock.update t.clock entry.stamp;
       store t loc entry;
       digest_observe t loc entry;
       trace t (Trace.Apply { node = t.id; loc; wid = entry.Stamped.wid }))
@@ -325,7 +328,7 @@ let install_transient t entries =
   List.iter
     (fun (loc, (entry : Stamped.t)) ->
       if not (owns t loc) then begin
-        t.clock <- Vclock.update t.clock entry.stamp;
+        if merges_installs t then t.clock <- Vclock.update t.clock entry.stamp;
         digest_observe t loc entry;
         t.stats.Node_stats.stale_drops <- t.stats.Node_stats.stale_drops + 1
       end)
@@ -568,3 +571,12 @@ let enforce_capacity t =
         let by_age = List.sort (fun (_, a) (_, b) -> Int.compare a b) cached in
         List.iteri (fun i (loc, _) -> if i < excess then ignore (discard_one t loc)) by_age
       end
+
+let install_read_reply t ~vt_at_request ~digest entries =
+  digest_merge t digest;
+  (* The stale-install guard: retain the reply only if this node's clock
+     did not grow while the request was in flight. *)
+  if t.config.Config.mutation = Config.Figure4_literal || Vclock.equal vt_at_request t.clock
+  then install_batch t entries
+  else install_transient t entries;
+  enforce_capacity t

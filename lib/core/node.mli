@@ -98,8 +98,8 @@ val install_transient : t -> (Dsm_memory.Loc.t * Stamped.t) list -> unit
     meanwhile), the reply may be older than what the node now causally
     knows, and caching it would let a later read return an overwritten
     value — the violation the literal Figure 4 pseudocode admits (see
-    DESIGN.md, "Findings", and the model checker's
-    [Figure4_literal] variant). *)
+    DESIGN.md, "Findings", and the {!Config.Figure4_literal} mutation).
+    {!install_read_reply} applies the guard. *)
 
 val install_batch : t -> (Dsm_memory.Loc.t * Stamped.t) list -> unit
 (** Install all entries of one owner reply (the requested location plus any
@@ -111,6 +111,19 @@ val install_batch : t -> (Dsm_memory.Loc.t * Stamped.t) list -> unit
     location that owner serialises, so none of them can be an overwritten
     value.  [install_batch t [(loc, e)]] coincides with
     [install_remote t loc e]. *)
+
+val install_read_reply :
+  t ->
+  vt_at_request:Vclock.t ->
+  digest:(Dsm_memory.Loc.t * Write_digest.entry) list ->
+  (Dsm_memory.Loc.t * Stamped.t) list ->
+  unit
+(** The reader's tail of [r_i(x)v] after [R_REPLY]: fold the reply's
+    digest in, install the requested entry and its page with
+    {!install_batch} if [VT_i] still equals [vt_at_request] (the clock
+    snapshotted when the READ was sent), else with {!install_transient} —
+    the stale-install guard — then enforce the cache capacity.  Every
+    shell completes a READ through this one function. *)
 
 val page_entries : t -> Dsm_memory.Loc.t -> (Dsm_memory.Loc.t * Stamped.t) list
 (** Owner side of page granularity: the other entries of [loc]'s page this

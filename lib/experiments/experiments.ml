@@ -1186,79 +1186,86 @@ let board () =
 
 let model () =
   header "E-MODEL  Exhaustive model checking of the owner protocol";
-  let module Model = Dsm_model.Model in
-  let x = Loc.named "x" and y = Loc.named "y" in
+  let module Gen = Dsm_mc.Gen in
+  let module Explore = Dsm_mc.Explore in
+  let module Config = Dsm_causal.Config in
+  let x = Gen.x and y = Gen.y in
   let v i = Loc.indexed "v" i in
-  let fig5_cfg =
-    {
-      Model.owner_of = (fun loc -> if Loc.equal loc x then 0 else 1);
-      policy = Model.Lww;
-      programs =
-        [
-          [ Model.Read y; Model.Write (x, Value.Int 1); Model.Read y ];
-          [ Model.Read x; Model.Write (y, Value.Int 1); Model.Read x ];
-        ];
-    }
+  let owner ~nodes f = Dsm_memory.Owner.make ~nodes f in
+  let fig5 =
+    Gen.make "fig5"
+      ~owner:(owner ~nodes:2 (fun loc -> if Loc.equal loc x then 0 else 1))
+      [|
+        [ Gen.Read y; Gen.Write (x, Value.Int 1); Gen.Read y ];
+        [ Gen.Read x; Gen.Write (y, Value.Int 1); Gen.Read x ];
+      |]
   in
-  let three_cfg =
-    {
-      Model.owner_of = (fun loc -> match loc with Loc.Indexed (_, i) -> i mod 3 | _ -> 0);
-      policy = Model.Lww;
-      programs =
-        [
-          [ Model.Write (v 1, Value.Int 10); Model.Read (v 2) ];
-          [ Model.Write (v 2, Value.Int 20); Model.Read (v 1) ];
-          [ Model.Read (v 1); Model.Read (v 2) ];
-        ];
-    }
-  in
-  let race_cfg =
-    {
-      Model.owner_of =
-        (fun loc -> if Loc.equal loc x then 1 else if Loc.equal loc y then 2 else 0);
-      policy = Model.Lww;
-      programs =
-        [
-          [ Model.Read y; Model.Write (x, Value.Int 5) ];
-          [ Model.Read y; Model.Read x; Model.Read y ];
-          [ Model.Write (y, Value.Int 1); Model.Write (y, Value.Int 3) ];
-        ];
-    }
+  let three =
+    Gen.make "three-node"
+      ~owner:(owner ~nodes:3 (function Loc.Indexed (_, i) -> i mod 3 | _ -> 0))
+      [|
+        [ Gen.Write (v 1, Value.Int 10); Gen.Read (v 2) ];
+        [ Gen.Write (v 2, Value.Int 20); Gen.Read (v 1) ];
+        [ Gen.Read (v 1); Gen.Read (v 2) ];
+      |]
   in
   let t =
-    Table.create
-      ~headers:[ "configuration"; "variant"; "states"; "distinct executions"; "violations" ]
+    Table.create ~headers:[ "configuration"; "mutation"; "states"; "executions"; "counterexample" ]
   in
-  let row name cfg variant vname =
-    let s = Model.explore ~variant cfg in
+  let literal_cex = ref None in
+  let row name (scope : Gen.scope) mutation =
+    let r = Explore.run { scope with Gen.mutation } in
+    let cex =
+      match r.Explore.cex with
+      | None -> "none"
+      | Some c ->
+          if mutation = Config.Figure4_literal then literal_cex := Some c;
+          Printf.sprintf "%d steps%s" (List.length c.Explore.schedule)
+            (if c.Explore.online then " (online)" else "")
+    in
     Table.add_row t
       [
         name;
-        vname;
-        string_of_int s.Model.states_explored;
-        string_of_int s.Model.terminal_histories;
-        string_of_int (List.length s.Model.violations);
+        Config.mutation_name mutation;
+        string_of_int r.Explore.stats.Explore.states;
+        string_of_int r.Explore.stats.Explore.executions;
+        cex;
       ]
   in
-  row "fig5 layout (2 nodes)" fig5_cfg Model.Faithful "patched (library)";
-  row "3-node exchange" three_cfg Model.Faithful "patched (library)";
-  row "race probe" race_cfg Model.Faithful "patched (library)";
-  row "race probe" race_cfg Model.Figure4_literal "Figure 4 literal";
-  row "race probe" race_cfg Model.Skip_invalidation "mutant: no invalidation";
-  row "race probe" race_cfg Model.Skip_certify_merge "mutant: no certify merge";
+  row "fig5 layout (2 nodes)" fig5 Config.No_mutation;
+  row "3-node exchange" three Config.No_mutation;
+  List.iter (row "race probe" Gen.race)
+    Config.
+      [
+        No_mutation;
+        Figure4_literal;
+        Skip_install_merge;
+        Skip_invalidation;
+        Skip_writestamp_merge;
+      ];
   print_table t;
   print_endline "FINDING: the literal Figure 4 pseudocode admits causal violations when";
   print_endline "an owner certifies a write while its own read request is in flight (the";
   print_endline "reply caches a value older than knowledge gained from the certification).";
-  print_endline "The library adds a stale-install guard: a fetched entry is not retained";
-  print_endline "when the reader's clock grew mid-flight.  Exhaustive exploration of the";
-  print_endline "patched transition system finds zero violations; the same race driven";
-  print_endline "through the simulator protocol is exercised in the test suite.";
+  print_endline "The protocol adds a stale-install guard (Node.install_read_reply): a fetched";
+  print_endline "entry is not retained when the reader's clock grew mid-flight.  The model";
+  print_endline "checker runs the shipped Protocol.step; the figure4-literal mutation turns";
+  print_endline "the guard off.  Shrunk counterexample:";
+  (match !literal_cex with
+  | Some c ->
+      Format.printf "  %s@.  schedule: %a@." (snd c.Explore.cex_violation) Explore.pp_schedule
+        c.Explore.schedule
+  | None -> print_endline "  (none found)");
   print_newline ();
-  let r = Scenarios.stale_install_race () in
-  Printf.printf "Simulator replay of the race: guard fired %d time(s); history %s.\n\n"
-    r.Scenarios.si_stale_drops
-    (if r.Scenarios.si_causal_ok then "causally CORRECT" else "VIOLATING")
+  let replay name config =
+    let r = Scenarios.stale_install_race ~config () in
+    Printf.printf "Cluster replay of the race, %-16s guard dropped %d reply(ies); history %s.\n"
+      (name ^ ":") r.Scenarios.si_stale_drops
+      (if r.Scenarios.si_causal_ok then "causally CORRECT" else "VIOLATING")
+  in
+  replay "guarded" Config.default;
+  replay "figure4-literal" (Config.with_mutation Config.Figure4_literal Config.default);
+  print_newline ()
 
 let all : (string * (unit -> unit)) list =
   [

@@ -25,6 +25,7 @@ type scope = {
   mutation : Config.mutation;
   shards : int;  (* <= 1: unsharded (full replication) *)
   precise : bool;  (* run under [Config.Precise] invalidation *)
+  policy : Dsm_protocol.Policy.t;
 }
 
 let default_detector = { Detector.period = 5.0; suspect_after = 3 }
@@ -135,66 +136,52 @@ let z = Loc.named "z"
 
 let owner_fn ~nodes assign = Owner.make ~nodes (fun loc -> assign loc)
 
-(* Message passing: one writer publishes x then y, one reader consumes in
-   the opposite order.  Both locations live at the writer. *)
-let mp =
+let make sname ~owner programs =
   {
-    sname = "mp";
-    nodes = 2;
-    owner = owner_fn ~nodes:2 (fun _ -> 0);
-    programs =
-      [|
-        [ Write (x, Value.Int 1); Write (y, Value.Int 2) ]; [ Read y; Read x ];
-      |];
+    sname;
+    nodes = Array.length programs;
+    owner;
+    programs;
     fault = No_faults;
     failover = false;
     mutation = Config.No_mutation;
     shards = 0;
     precise = false;
+    policy = Dsm_protocol.Policy.Last_writer_wins;
   }
+
+(* Message passing: one writer publishes x then y, one reader consumes in
+   the opposite order.  Both locations live at the writer. *)
+let mp =
+  make "mp"
+    ~owner:(owner_fn ~nodes:2 (fun _ -> 0))
+    [| [ Write (x, Value.Int 1); Write (y, Value.Int 2) ]; [ Read y; Read x ] |]
 
 (* Publication with a re-read: the reader caches the old y, sees the new x,
    then reads y again — the cached copy must have been invalidated.
    Catches [Skip_invalidation]. *)
 let publication =
-  {
-    sname = "publication";
-    nodes = 2;
-    owner = owner_fn ~nodes:2 (fun _ -> 0);
-    programs =
-      [|
-        [ Write (y, Value.Int 1); Write (x, Value.Int 2) ];
-        [ Read y; Read x; Read y ];
-      |];
-    fault = No_faults;
-    failover = false;
-    mutation = Config.No_mutation;
-    shards = 0;
-    precise = false;
-  }
+  make "publication"
+    ~owner:(owner_fn ~nodes:2 (fun _ -> 0))
+    [| [ Write (y, Value.Int 1); Write (x, Value.Int 2) ]; [ Read y; Read x; Read y ] |]
 
 (* Three-party race: the x-writer's causal history (it read y=3) must ride
    on its writestamp so the owner's certified entry invalidates the
-   reader's stale cached y.  Catches [Skip_writestamp_merge]. *)
+   reader's stale cached y.  Catches [Skip_writestamp_merge].  It is also
+   the race of DESIGN.md's "Findings": node 1 certifies w(x)5 while its own
+   read of y is in flight, so the late reply must not be cached.  Catches
+   [Figure4_literal] (the reply is cached anyway) and [Skip_install_merge]
+   (the reply's stamp never reaches node 1's clock). *)
 let race =
-  {
-    sname = "race";
-    nodes = 3;
-    owner =
-      owner_fn ~nodes:3 (fun loc ->
-          if Loc.equal loc x then 1 else if Loc.equal loc y then 2 else 0);
-    programs =
-      [|
-        [ Read y; Write (x, Value.Int 5) ];
-        [ Read y; Read x; Read y ];
-        [ Write (y, Value.Int 1); Write (y, Value.Int 3) ];
-      |];
-    fault = No_faults;
-    failover = false;
-    mutation = Config.No_mutation;
-    shards = 0;
-    precise = false;
-  }
+  make "race"
+    ~owner:
+      (owner_fn ~nodes:3 (fun loc ->
+           if Loc.equal loc x then 1 else if Loc.equal loc y then 2 else 0))
+    [|
+      [ Read y; Write (x, Value.Int 5) ];
+      [ Read y; Read x; Read y ];
+      [ Write (y, Value.Int 1); Write (y, Value.Int 3) ];
+    |]
 
 (* Owner crash with takeover: node 2 writes x (served by the victim) then y
    (served by the backup); the backup reads y then x after promoting.  The
@@ -202,18 +189,14 @@ let race =
    [Reorder_apply_ack] and [Skip_shadow_replication]. *)
 let failover =
   {
-    sname = "failover";
-    nodes = 3;
-    owner =
-      owner_fn ~nodes:3 (fun loc ->
-          if Loc.equal loc x then 0 else if Loc.equal loc y then 1 else 0);
-    programs =
-      [| []; [ Read y; Read x ]; [ Write (x, Value.Int 1); Write (y, Value.Int 2) ] |];
+    (make "failover"
+       ~owner:
+         (owner_fn ~nodes:3 (fun loc ->
+              if Loc.equal loc x then 0 else if Loc.equal loc y then 1 else 0))
+       [| []; [ Read y; Read x ]; [ Write (x, Value.Int 1); Write (y, Value.Int 2) ] |])
+    with
     fault = Crash { victim = 0; restart = false };
     failover = true;
-    mutation = Config.No_mutation;
-    shards = 0;
-    precise = false;
   }
 
 (* Crash, takeover, restart: the restarted (deposed) node 0 must fence
@@ -221,23 +204,14 @@ let failover =
    locations it no longer serves.  Catches [Ignore_epoch_fence]. *)
 let fence =
   {
-    sname = "fence";
-    nodes = 4;
-    owner =
-      owner_fn ~nodes:4 (fun loc ->
-          if Loc.equal loc x then 0 else if Loc.equal loc y then 1 else 0);
-    programs =
-      [|
-        [];
-        [];
-        [ Write (x, Value.Int 1); Write (y, Value.Int 2) ];
-        [ Read y; Read x ];
-      |];
+    (make "fence"
+       ~owner:
+         (owner_fn ~nodes:4 (fun loc ->
+              if Loc.equal loc x then 0 else if Loc.equal loc y then 1 else 0))
+       [| []; []; [ Write (x, Value.Int 1); Write (y, Value.Int 2) ]; [ Read y; Read x ] |])
+    with
     fault = Crash { victim = 0; restart = true };
     failover = true;
-    mutation = Config.No_mutation;
-    shards = 0;
-    precise = false;
   }
 
 (* Message passing under a lossy, duplicating link with small budgets. *)
@@ -257,15 +231,10 @@ let lossy =
    drops the anchor checkpoint itself and loses the snapshotted write. *)
 let power =
   {
-    sname = "power";
-    nodes = 2;
-    owner = owner_fn ~nodes:2 (fun _ -> 0);
-    programs = [| [ Write (x, Value.Int 1) ]; [ Read x; Read x ] |];
+    (make "power" ~owner:(owner_fn ~nodes:2 (fun _ -> 0))
+       [| [ Write (x, Value.Int 1) ]; [ Read x; Read x ] |])
+    with
     fault = Power;
-    failover = false;
-    mutation = Config.No_mutation;
-    shards = 0;
-    precise = false;
   }
 
 (* Network partition with quorum-gated takeover: every location served by
@@ -286,15 +255,11 @@ let power =
    flags. *)
 let partition =
   {
-    sname = "partition";
-    nodes = 3;
-    owner = owner_fn ~nodes:3 (fun _ -> 0);
-    programs = [| [ Write (x, Value.Int 1) ]; []; [ Read x ] |];
+    (make "partition" ~owner:(owner_fn ~nodes:3 (fun _ -> 0))
+       [| [ Write (x, Value.Int 1) ]; []; [ Read x ] |])
+    with
     fault = Partition { minority = [ 0 ]; majority = [ 1; 2 ] };
     failover = true;
-    mutation = Config.No_mutation;
-    shards = 0;
-    precise = false;
   }
 
 (* Partial replication: 4 nodes in 2 shards (rings {0,1} and {2,3}); the
@@ -313,19 +278,9 @@ let shard_scope =
   let sx = Loc.indexed "s" 4 in
   let layout = Dsm_memory.Shard.make ~nodes:4 ~shards:2 in
   {
-    sname = "shard";
-    nodes = 4;
-    owner = Dsm_memory.Shard.owner layout;
-    programs =
-      [|
-        [];
-        [ Write (sy, Value.Int 1); Write (sx, Value.Int 2) ];
-        [];
-        [ Read sy; Read sx; Read sy ];
-      |];
-    fault = No_faults;
-    failover = false;
-    mutation = Config.No_mutation;
+    (make "shard" ~owner:(Dsm_memory.Shard.owner layout)
+       [| []; [ Write (sy, Value.Int 1); Write (sx, Value.Int 2) ]; []; [ Read sy; Read sx; Read sy ] |])
+    with
     shards = 2;
     precise = true;
   }
@@ -340,21 +295,12 @@ let shard_scope =
 let objects_scope =
   let c0 = Loc.cell "ctr" 0 0 in
   let c1 = Loc.cell "ctr" 1 0 in
-  {
-    sname = "objects";
-    nodes = 2;
-    owner = owner_fn ~nodes:2 (fun _ -> 0);
-    programs =
-      [|
-        [ Write (c0, Value.Str "inc"); Read c1; Query "ctr" ];
-        [ Write (c1, Value.Str "inc"); Read c0; Query "ctr" ];
-      |];
-    fault = No_faults;
-    failover = false;
-    mutation = Config.No_mutation;
-    shards = 0;
-    precise = false;
-  }
+  make "objects"
+    ~owner:(owner_fn ~nodes:2 (fun _ -> 0))
+    [|
+      [ Write (c0, Value.Str "inc"); Read c1; Query "ctr" ];
+      [ Write (c1, Value.Str "inc"); Read c0; Query "ctr" ];
+    |]
 
 let presets =
   [ mp; publication; race; failover; fence; lossy; power; partition; shard_scope; objects_scope ]
@@ -373,6 +319,8 @@ let matrix =
     (Config.Takeover_without_quorum, "partition");
     (Config.Prune_share_set_wrongly, "shard");
     (Config.Merge_drops_op, "objects");
+    (Config.Figure4_literal, "race");
+    (Config.Skip_install_merge, "race");
   ]
 
 (* A generic message-passing-flavoured scope: node 0 alternates writes over
@@ -388,13 +336,7 @@ let generic ~nodes ~ops ~fault =
   in
   let failover = match fault with Crash _ -> true | _ -> false in
   {
-    sname = Printf.sprintf "generic-%dx%d" nodes ops;
-    nodes;
-    owner;
-    programs = Array.init nodes program;
+    (make (Printf.sprintf "generic-%dx%d" nodes ops) ~owner (Array.init nodes program)) with
     fault;
     failover;
-    mutation = Config.No_mutation;
-    shards = 0;
-    precise = false;
   }

@@ -49,7 +49,14 @@ type scope = {
       (** [> 1]: run under partial replication with this many shard rings
           ([Dsm_memory.Shard.make]); [<= 1]: unsharded full replication *)
   precise : bool;  (** run under [Config.Precise] digest-driven invalidation *)
+  policy : Dsm_protocol.Policy.t;  (** how owners resolve concurrent writes *)
 }
+
+val make : string -> owner:Dsm_memory.Owner.t -> op list array -> scope
+(** [make name ~owner programs]: one node per program, fault-free,
+    unmutated, unsharded, coarse invalidation, last-writer-wins.  The
+    presets and {!generic} are built from it; override fields with
+    [{ (make ...) with ... }]. *)
 
 val default_detector : Dsm_protocol.Detector.config
 (** Period 5.0, suspect after 3 — the failover scenarios' detector. *)

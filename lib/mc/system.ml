@@ -100,7 +100,9 @@ type t = {
 }
 
 let init ?(tracing = false) (scope : Gen.scope) =
-  let config = Config.with_mutation scope.mutation Config.default in
+  let config =
+    Config.default |> Config.with_mutation scope.mutation |> Config.with_policy scope.policy
+  in
   let config =
     if scope.precise then Config.with_invalidation Config.Precise config else config
   in
@@ -390,14 +392,8 @@ and client_reply t node req msg =
   | Waiting_read r when r.req = req -> (
       match msg with
       | Message.Read_reply { entry; page; digest; _ } ->
-          let nd = P.node t.core node in
-          Node.digest_merge nd digest;
-          (* Stale-install guard: retain the reply only if this node's clock
-             did not grow while the request was in flight. *)
-          if Vclock.equal r.vt_at_request (Node.vt nd) then
-            Node.install_batch nd ((r.loc, entry) :: page)
-          else Node.install_transient nd ((r.loc, entry) :: page);
-          Node.enforce_capacity nd;
+          Node.install_read_reply (P.node t.core node) ~vt_at_request:r.vt_at_request ~digest
+            ((r.loc, entry) :: page);
           t.status.(node) <- Idle;
           record_read t node r.loc entry
       | Message.Stale_epoch { base; epoch; serving; _ } ->
@@ -788,6 +784,16 @@ let posthoc_violation t =
                   "object: " ^ v.Obj_check.v_reason )))
   | Ok (Check.Violations (v :: _)) -> Some (v.Check.read.Op.pid, v.Check.reason)
   | Error msg -> Some (-1, "malformed history: " ^ msg)
+
+let owner_value t loc =
+  List.init t.scope.nodes Fun.id
+  |> List.find_map (fun i ->
+         let nd = P.node t.core i in
+         if P.is_crashed t.core i || not (Node.owns nd loc) then None
+         else
+           List.find_map
+             (fun (l, (e : Stamped.t)) -> if Loc.equal l loc then Some e.value else None)
+             (Node.entries nd))
 
 let read_values t pid =
   List.rev t.ops.(pid)

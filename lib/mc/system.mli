@@ -104,6 +104,11 @@ val completed : t -> bool
 val read_values : t -> int -> Dsm_memory.Value.t list
 (** The values process [pid]'s reads returned, in program order. *)
 
+val owner_value : t -> Dsm_memory.Loc.t -> Dsm_memory.Value.t option
+(** The value the live node serving the location stores — the state a
+    history cannot show when the owner rejected a write.  [None] if no live
+    node serves it or it was never touched. *)
+
 val queries : t -> Dsm_checker.Obj_check.query list
 (** The object queries issued so far, oldest first — [q_pid] and [q_ret]
     let a litmus test assert which spec-level returns an interleaving

@@ -69,18 +69,7 @@ let x = Gen.x
 and y = Gen.y
 and z = Gen.z
 
-let mk_scope name ~nodes ~owner ~programs =
-  {
-    Gen.sname = name;
-    nodes;
-    owner = Owner.make ~nodes owner;
-    programs;
-    fault = Gen.No_faults;
-    failover = false;
-    mutation = Config.No_mutation;
-    shards = 0;
-    precise = false;
-  }
+let mk_scope name ~nodes ~owner ~programs = Gen.make name ~owner:(Owner.make ~nodes owner) programs
 
 (* Explore [scope], asserting every interleaving causal (no online or
    post-hoc counterexample); returns whether some terminal state

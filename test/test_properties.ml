@@ -1,7 +1,8 @@
 (* Cross-cutting property tests: randomized model checking, transport FIFO,
    notation round-trips, and live-set laws. *)
 
-module Model = Dsm_model.Model
+module Gen = Dsm_mc.Gen
+module Explore = Dsm_mc.Explore
 module Loc = Dsm_memory.Loc
 module Value = Dsm_memory.Value
 module History = Dsm_memory.History
@@ -11,10 +12,10 @@ module Causality = Dsm_checker.Causality
 
 (* ------------------------------------------------------------------ *)
 (* Randomized exhaustive model checking: ANY small configuration of the
-   (patched) protocol must be violation-free over ALL interleavings.     *)
+   shipped protocol must be violation-free over ALL interleavings.      *)
 (* ------------------------------------------------------------------ *)
 
-let gen_config =
+let gen_scope =
   let open QCheck.Gen in
   let* nodes = int_range 2 3 in
   let* locs = int_range 1 2 in
@@ -33,46 +34,35 @@ let gen_config =
   let programs =
     List.map
       (List.map (function
-        | `R l -> Model.Read l
+        | `R l -> Gen.Read l
         | `W l ->
             incr counter;
-            Model.Write (l, Value.Int !counter)))
+            Gen.Write (l, Value.Int !counter)))
       programs
   in
-  return { Model.owner_of = (fun l -> Loc.hash l mod nodes); programs; policy = Model.Lww }
+  return
+    (Gen.make "random" ~owner:(Dsm_memory.Owner.by_hash ~nodes) (Array.of_list programs))
 
-let arb_config =
-  QCheck.make gen_config
-    ~print:(fun cfg ->
+let arb_scope =
+  QCheck.make gen_scope ~print:(fun scope ->
       String.concat " | "
-        (List.map
-           (fun prog ->
-             String.concat ";"
-               (List.map
-                  (function
-                    | Model.Read l -> "R" ^ Loc.to_string l
-                    | Model.Write (l, v) -> "W" ^ Loc.to_string l ^ "=" ^ Value.to_string v)
-                  prog))
-           cfg.Model.programs))
+        (Array.to_list
+           (Array.map
+              (fun prog ->
+                String.concat ";"
+                  (List.map
+                     (function
+                       | Gen.Read l -> "R" ^ Loc.to_string l
+                       | Gen.Write (l, v) -> "W" ^ Loc.to_string l ^ "=" ^ Value.to_string v
+                       | Gen.Query o -> "Q" ^ o)
+                     prog))
+              scope.Gen.programs)))
 
 let prop_model_always_causal =
-  QCheck.Test.make ~name:"exhaustive: random configs never violate" ~count:25 arb_config
-    (fun cfg ->
-      let stats = Model.explore ~state_limit:500_000 cfg in
-      stats.Model.violations = [])
-
-let prop_model_literal_subsumes_patched =
-  QCheck.Test.make ~name:"patched executions are a subset of literal's" ~count:15 arb_config
-    (fun cfg ->
-      let patched =
-        Model.distinct_terminal_histories cfg |> List.map History.to_string
-        |> List.sort_uniq compare
-      in
-      (* Exploring the literal variant reaches at least as many behaviours.
-         distinct_terminal_histories always runs the patched transitions, so
-         compare terminal counts via explore. *)
-      let literal = Model.explore ~variant:Model.Figure4_literal cfg in
-      literal.Model.terminal_histories >= List.length patched)
+  QCheck.Test.make ~name:"exhaustive: random configs never violate" ~count:25 arb_scope
+    (fun scope ->
+      let r = Explore.explore scope in
+      r.Explore.cex = None && not r.Explore.stats.Explore.truncated)
 
 (* ------------------------------------------------------------------ *)
 (* Transport: per-link FIFO under any latency model                     *)
@@ -182,7 +172,6 @@ let prop_classification_monotone =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_model_always_causal;
-    QCheck_alcotest.to_alcotest prop_model_literal_subsumes_patched;
     QCheck_alcotest.to_alcotest prop_network_fifo;
     QCheck_alcotest.to_alcotest prop_parse_print_roundtrip;
     QCheck_alcotest.to_alcotest prop_alpha_nonempty_and_contains_rf;

@@ -65,6 +65,15 @@ let test_stale_install_race_guarded () =
   Alcotest.(check bool) "guard fired" true (r.Scenarios.si_stale_drops >= 1);
   Alcotest.(check bool) "history causal" true r.Scenarios.si_causal_ok
 
+let test_stale_install_race_literal () =
+  (* With the guard switched off (the published pseudocode) the same race
+     caches the stale reply and the history violates causality: the one
+     guard in Node.install_read_reply is what keeps Cluster correct. *)
+  let config = Dsm_causal.Config.(with_mutation Figure4_literal default) in
+  let r = Scenarios.stale_install_race ~config () in
+  Alcotest.(check int) "nothing dropped" 0 r.Scenarios.si_stale_drops;
+  Alcotest.(check bool) "history violates" false r.Scenarios.si_causal_ok
+
 let test_harness_reports_kinds () =
   let r = Harness.solver_causal ~n:3 ~iters:4 () in
   let kinds = List.map fst r.Harness.by_kind in
@@ -110,6 +119,7 @@ let suite =
     Alcotest.test_case "mutation" `Quick test_mutation_changes_a_read;
     Alcotest.test_case "fig5 scenario" `Quick test_fig5_scenario;
     Alcotest.test_case "stale-install race guarded" `Quick test_stale_install_race_guarded;
+    Alcotest.test_case "stale-install race literal" `Quick test_stale_install_race_literal;
     Alcotest.test_case "harness kinds" `Quick test_harness_reports_kinds;
     Alcotest.test_case "harness deterministic" `Quick test_harness_deterministic;
     Alcotest.test_case "steady rate validation" `Quick test_steady_rate_requires_increasing_iters;
