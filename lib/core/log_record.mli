@@ -36,3 +36,15 @@ val kind : t -> string
     ["shadow"], ["checkpoint"]. *)
 
 val pp : Format.formatter -> t -> unit
+
+val encode : t -> string
+(** The record's on-disk image.  Every field is written directly, and
+    every writestamp as its dimension plus one unsigned LEB128 varint per
+    component (one byte below 128, two below 16384), so an image costs
+    about a byte per stamp component.  The one module that knows the
+    format. *)
+
+val decode : string -> t
+(** Inverse of {!encode}: a fresh record sharing nothing with the one
+    encoded.  Raises [Failure] on a truncated image, an unknown tag or
+    trailing bytes; callers check the image's checksum first. *)

@@ -20,15 +20,18 @@ type record = Log_record.t =
 
 exception Sync_failed of int
 
-(* One durable cell: the record's marshalled image, whether it is a
-   checkpoint, its validity, and the per-record checksum written alongside
-   it.  The disk holds bytes, not the live record: a stamp the owner has
-   since overwritten is not kept reachable, and nothing the node later
-   mutates can change what the log says.  A torn checkpoint is physically
-   present (the writer believed the sync succeeded) but fails its checksum
-   when recovery reads it back; a corrupted record (bit rot, a misdirected
-   write) has its stored checksum disagree with its image.  Replay and
-   compaction skip both. *)
+(* One durable cell: the record's image, whether it is a checkpoint, its
+   validity, and the per-record checksum written alongside it.  The image
+   is {!Log_record.encode}'s byte string: a tag byte per variant, then the
+   fields in order, integers as LEB128 varints and every writestamp as its
+   dimension plus one unsigned varint per component (one byte below 128,
+   two below 16384).  The disk holds bytes, not the live record: a stamp
+   the owner has since overwritten is not kept reachable, and nothing the
+   node later mutates can change what the log says.  A torn checkpoint is
+   physically present (the writer believed the sync succeeded) but fails
+   its checksum when recovery reads it back; a corrupted record (bit rot,
+   a misdirected write) has its stored checksum disagree with its image.
+   Replay and compaction skip both. *)
 type entry = { image : string; checkpoint : bool; torn : bool; crc : string }
 
 (* One node's log: entries newest-first (append is a cons), the number of
@@ -117,14 +120,14 @@ let sync t =
     raise (Sync_failed t.log.log_node)
   end
 
-(* Marshal [record] once: the image is what lands on disk, and its digest
+(* Encode [record] once: the image is what lands on disk, and its digest
    is the checksum stored beside it — the simulated stand-in for a real
    CRC32C, covering every field.  The stored checksum is correct unless a
    corruption fault is armed, in which case it silently disagrees with the
    image: the writer sees success, and only a recovery-time checksum walk
    can tell. *)
 let write_entry t ~torn record =
-  let image = Marshal.to_string record [] in
+  let image = Log_record.encode record in
   let crc = Digest.string image in
   let crc =
     if t.disk.Disk.corrupt_records > 0 then begin
@@ -168,7 +171,7 @@ let is_valid e = (not e.torn) && crc_matches e
 (* The flag first: finding the anchor checksums only checkpoints. *)
 let is_anchor e = e.checkpoint && is_valid e
 
-let decode e : record = Marshal.from_string e.image 0
+let decode e : record = Log_record.decode e.image
 
 (* Distance (in entries) from the head to the newest complete checkpoint —
    the recovery anchor.  [None] when no complete checkpoint exists. *)

@@ -115,10 +115,58 @@ let test_owner_write_allocation () =
           words bound)
     [ (2, 74.0); (256, 328.0) ]
 
+let read_install_words ~nodes =
+  (* Minor-heap words per read-miss install on node 0: the reply's stamp is
+     concurrent with node 0's clock (which holds its own write) and newer
+     than the cached copy, so each install merges, stores and runs the
+     invalidation pass.  The stamps are built before measuring. *)
+  let node =
+    Dsm_protocol.Node.create ~id:0
+      ~owner:(Dsm_memory.Owner.by_index ~nodes)
+      ~config:Dsm_protocol.Config.default
+  in
+  ignore
+    (Dsm_protocol.Node.local_write node (Dsm_memory.Loc.indexed "v" 0) (Dsm_memory.Value.Int 0));
+  let loc = Dsm_memory.Loc.indexed "v" 1 in
+  let warmup = 100 and steps = 2_000 in
+  let replies =
+    Array.init (warmup + steps) (fun k ->
+        let stamp = Array.make nodes 0 in
+        stamp.(1) <- k + 1;
+        [
+          ( loc,
+            Dsm_protocol.Stamped.make ~value:(Dsm_memory.Value.Int k)
+              ~stamp:(Vclock.of_array stamp)
+              ~wid:(Dsm_memory.Wid.make ~node:1 ~seq:k) );
+        ])
+  in
+  let install k =
+    let since = Dsm_protocol.Node.clock_version node in
+    Dsm_protocol.Node.install_read_reply node ~since ~digest:[] replies.(k)
+  in
+  for k = 0 to warmup - 1 do install k done;
+  let before = Gc.minor_words () in
+  for k = warmup to warmup + steps - 1 do install k done;
+  (Gc.minor_words () -. before) /. float_of_int steps
+
+let test_read_install_allocation () =
+  (* The read-miss bound: merging a reply's stamp into the node's clock
+     happens in place, so the cost does not grow with n.  Each bound is the
+     measured cost (OCaml 5.1, dev profile); it may be lowered, never
+     raised.  A merge that copied the clock would cost n + 1 words more. *)
+  List.iter
+    (fun (nodes, bound) ->
+      let words = read_install_words ~nodes in
+      if words > bound then
+        Alcotest.failf "read install at %d nodes: %.2f minor words/op, bound %.0f" nodes
+          words bound)
+    [ (2, 49.0); (256, 49.0) ]
+
 let suite =
   [
     Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
     Alcotest.test_case "tracing transparent" `Quick test_tracing_transparent;
     Alcotest.test_case "crashed nodes drop" `Quick test_crashed_nodes_drop;
     Alcotest.test_case "owner write allocation" `Quick test_owner_write_allocation;
+    Alcotest.test_case "read install allocation" `Quick test_read_install_allocation;
   ]
