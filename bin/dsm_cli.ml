@@ -342,10 +342,6 @@ let chaos_cmd =
     in
     let r = Chaos.run ~knobs ~seed:(Int64.of_int seed) scenario in
     Format.printf "%a" Chaos.pp_report r;
-    Printf.printf "health:            %s (gave_up %d, suspects %d, unsuspects %d)\n"
-      (if Chaos.healthy r then "OK" else "UNHEALTHY")
-      r.Chaos.transport.Dsm_net.Reliable.gave_up r.Chaos.stats.Dsm_causal.Node_stats.suspects
-      r.Chaos.stats.Dsm_causal.Node_stats.unsuspects;
     if Chaos.healthy r then exit 0 else exit 1
   in
   Cmd.v

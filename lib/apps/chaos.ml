@@ -1051,6 +1051,8 @@ let run ?knobs ?seed name =
         (Printf.sprintf "Chaos.run: unknown scenario %s (expected one of %s)" name
            (String.concat ", " scenarios))
 
+let healthy r = r.causal_ok && r.unfinished = [] && r.online_violation = None
+
 let pp_report ppf r =
   let line fmt = Format.fprintf ppf fmt in
   line "scenario:          %s (%d processes)@." r.scenario r.processes;
@@ -1089,6 +1091,7 @@ let pp_report ppf r =
       List.iter
         (fun (name, since) -> line "  %s (blocked since t=%.1f)@." name since)
         stuck);
-  List.iter (fun (k, v) -> line "%-18s %s@." (k ^ ":") v) r.notes
-
-let healthy r = r.causal_ok && r.unfinished = [] && r.online_violation = None
+  List.iter (fun (k, v) -> line "%-18s %s@." (k ^ ":") v) r.notes;
+  line "health:            %s (gave_up %d, suspects %d, unsuspects %d)@."
+    (if healthy r then "OK" else "UNHEALTHY")
+    r.transport.Reliable.gave_up s.suspects s.unsuspects

@@ -221,6 +221,8 @@ val run : ?knobs:knobs -> ?seed:int64 -> string -> report
     unknown name. *)
 
 val pp_report : Format.formatter -> report -> unit
+(** The full report as [dsm chaos] prints it, ending with the [health:]
+    line ({!healthy} plus the give-up and suspicion counts). *)
 
 val healthy : report -> bool
 (** [causal_ok && unfinished = [] && online_violation = None] — the chaos

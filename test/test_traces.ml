@@ -125,6 +125,39 @@ let test_golden_partition =
 let test_golden_objects_counter =
   golden_scenario ~scenario:"obj-counter" ~file:"objects_counter.trace.jsonl"
 
+(* traces/chaos.golden is every chaos report [dsm chaos <s> --seed <k>
+   --online-check --mutation <m>] prints: each scenario at seeds 1-3, then
+   each planted mutation against each scenario at seed 1, every block
+   headed by its run and exit code.  Regenerate with
+   [sh traces/chaos_golden.sh > traces/chaos.golden]. *)
+let test_golden_chaos_reports () =
+  let b = Buffer.create (1 lsl 18) in
+  let block scenario seed (mname, mutation) =
+    let knobs = { Chaos.default_knobs with Chaos.online_check = true; mutation } in
+    let r = Chaos.run ~knobs ~seed:(Int64.of_int seed) scenario in
+    Printf.bprintf b "== %s seed %d mutation %s exit %d\n%s" scenario seed mname
+      (if Chaos.healthy r then 0 else 1)
+      (Format.asprintf "%a" Chaos.pp_report r)
+  in
+  List.iter
+    (fun s -> List.iter (fun k -> block s k ("none", Dsm_causal.Config.No_mutation)) [ 1; 2; 3 ])
+    Chaos.scenarios;
+  List.iter (fun m -> List.iter (fun s -> block s 1 m) Chaos.scenarios) Dsm_causal.Config.mutations;
+  let golden = String.split_on_char '\n' (load "chaos.golden") in
+  let regenerated = String.split_on_char '\n' (Buffer.contents b) in
+  let rec diverge i = function
+    | want :: ws, got :: gs ->
+        if want <> got then
+          Alcotest.failf "chaos.golden diverges at line %d:\n  golden: %s\n  run:    %s" i want got
+        else diverge (i + 1) (ws, gs)
+    | [], [] -> ()
+    | _ ->
+        Alcotest.failf "chaos.golden diverges at line %d: %s" i
+          (if List.length golden > List.length regenerated then "the run ends early"
+           else "the golden ends early")
+  in
+  diverge 1 (golden, regenerated)
+
 let suite =
   [
     Alcotest.test_case "corpus verdicts" `Quick test_corpus;
@@ -134,4 +167,5 @@ let suite =
     Alcotest.test_case "golden power-failure trace" `Quick test_golden_power_failure;
     Alcotest.test_case "golden partition trace" `Quick test_golden_partition;
     Alcotest.test_case "golden objects-counter trace" `Quick test_golden_objects_counter;
+    Alcotest.test_case "golden chaos reports" `Quick test_golden_chaos_reports;
   ]
