@@ -1,11 +1,7 @@
-module Engine = Dsm_sim.Engine
-module Proc = Dsm_runtime.Proc
-module Network = Dsm_net.Network
 module Reliable = Dsm_net.Reliable
-module Latency = Dsm_net.Latency
 module Causal = Dsm_causal.Cluster
+module Node_stats = Dsm_causal.Node_stats
 module Owner = Dsm_memory.Owner
-module Prng = Dsm_util.Prng
 module Stats = Dsm_util.Stats
 
 type mode_result = {
@@ -36,73 +32,30 @@ type result = {
   frame_reduction : float;
 }
 
-(* One chaos-mix run (same shape as [Chaos.mix], minus the history checker:
-   the chaos soaks own correctness, the bench owns numbers) returning the
-   raw material a mode aggregates: per-op latencies and the counters. *)
-type run_raw = {
-  r_ops : int;
-  r_sim_time : float;
-  r_latencies : float list;
-  r_logical : int;
-  r_physical : int;
-  r_retrans : int;
-  r_acks : int;
-  r_rpc_timeouts : int;
-  r_unfinished : int;
-}
-
+(* One chaos-mix run at the default chaos knobs, with this mode's
+   transport, and the latency of every completed operation. *)
 let run_once ~reliability ~seed =
   let spec = Workload.default_spec in
-  let engine = Engine.create () in
-  let sched = Proc.scheduler engine in
-  let owner = Owner.by_index ~nodes:spec.Workload.processes in
-  let c =
-    Causal.create ~sched ~owner ~latency:Latency.lan
-      ~fault:(Network.fault ~drop:0.05 ~duplicate:0.01 ())
-      ~reliability
-      ~rpc:{ Causal.timeout = 100.0; retries = 5 }
-      ~seed ()
+  let latencies = ref [] in
+  let r =
+    Chaos.scenario ~name:"mix" ~knobs:{ Chaos.default_knobs with reliability } ~seed
+      ~owner:(Owner.by_index ~nodes:spec.Workload.processes)
+      (fun ctx ->
+        Workload.spawn_causal_clients ctx.Chaos.sched ~spec ~master:ctx.Chaos.master ctx.Chaos.c;
+        fun () ->
+          latencies :=
+            List.map (fun (_op, start, stop) -> stop -. start) (Causal.timed_history ctx.Chaos.c);
+          (0, []))
   in
-  let master = Prng.create seed in
-  for pid = 0 to spec.Workload.processes - 1 do
-    let prng = Prng.split master in
-    let h = Causal.handle c pid in
-    ignore
-      (Proc.spawn sched
-         ~name:(Printf.sprintf "client%d" pid)
-         (Workload.client ~spec ~prng ~pid
-            ~read:(fun l -> Causal.read h l)
-            ~write:(fun l v -> Causal.write h l v)
-            ~refresh:(fun l -> Causal.Mem.refresh h l)))
-  done;
-  Engine.run engine;
-  Causal.shutdown c;
-  let timed = Causal.timed_history c in
-  let stats = Causal.cluster_stats c in
-  let acks =
-    match Causal.reliable c with
-    | Some r -> (Reliable.counters r).Reliable.acks
-    | None -> 0
-  in
-  {
-    r_ops = List.length timed;
-    r_sim_time = Engine.now engine;
-    r_latencies = List.map (fun (_op, start, stop) -> stop -. start) timed;
-    r_logical = stats.Dsm_causal.Node_stats.logical_messages;
-    r_physical = stats.Dsm_causal.Node_stats.physical_frames;
-    r_retrans = stats.Dsm_causal.Node_stats.retransmissions;
-    r_acks = acks;
-    r_rpc_timeouts = stats.Dsm_causal.Node_stats.rpc_timeouts;
-    r_unfinished = List.length (Proc.unfinished_since sched);
-  }
+  (r, !latencies)
 
 let run_mode ~name ~config ~seeds =
-  let raws = List.map (fun seed -> run_once ~reliability:config ~seed) seeds in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 raws in
-  let sumf f = List.fold_left (fun acc r -> acc +. f r) 0.0 raws in
-  let latencies = Array.of_list (List.concat_map (fun r -> r.r_latencies) raws) in
-  let ops = sum (fun r -> r.r_ops) in
-  let sim_time = sumf (fun r -> r.r_sim_time) in
+  let runs = List.map (fun seed -> run_once ~reliability:config ~seed) seeds in
+  let sum f = List.fold_left (fun acc (r, _) -> acc + f r) 0 runs in
+  let stat f = sum (fun r -> f r.Chaos.stats) in
+  let latencies = Array.of_list (List.concat_map snd runs) in
+  let ops = Array.length latencies in
+  let sim_time = List.fold_left (fun acc (r, _) -> acc +. r.Chaos.sim_time) 0.0 runs in
   {
     name;
     config;
@@ -115,12 +68,12 @@ let run_mode ~name ~config ~seeds =
     lat_p99 = Stats.percentile latencies 99.0;
     lat_mean = Stats.mean_of latencies;
     lat_max = Stats.percentile latencies 100.0;
-    logical_messages = sum (fun r -> r.r_logical);
-    physical_frames = sum (fun r -> r.r_physical);
-    retransmissions = sum (fun r -> r.r_retrans);
-    explicit_acks = sum (fun r -> r.r_acks);
-    rpc_timeouts = sum (fun r -> r.r_rpc_timeouts);
-    unfinished = sum (fun r -> r.r_unfinished);
+    logical_messages = stat (fun s -> s.Node_stats.logical_messages);
+    physical_frames = stat (fun s -> s.Node_stats.physical_frames);
+    retransmissions = stat (fun s -> s.Node_stats.retransmissions);
+    explicit_acks = sum (fun r -> r.Chaos.transport.Reliable.acks);
+    rpc_timeouts = stat (fun s -> s.Node_stats.rpc_timeouts);
+    unfinished = sum (fun r -> List.length r.Chaos.unfinished);
   }
 
 let default_seeds ~quick =

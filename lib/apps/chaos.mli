@@ -55,8 +55,8 @@ type report = {
   scenario : string;
   processes : int;
   ops : int;  (** operations in the recorded history *)
-  causal_ok : bool;  (** {!Dsm_checker.Causal_check} verdict (histories over
-                         6000 ops are assumed correct, as in {!Harness}) *)
+  causal_ok : bool;  (** {!Harness.check_history} verdict: histories over
+                         6000 ops are assumed correct *)
   sim_time : float;
   transport : Dsm_net.Reliable.counters;
   crashes : int;  (** crash-stop events injected *)
@@ -79,6 +79,43 @@ type report = {
       (** scenario-specific facts that are not cluster counters, ending
           with a ["failed:<proc>"] entry for any process that raised *)
 }
+
+(** {1 The runner} *)
+
+type ctx = {
+  engine : Dsm_sim.Engine.t;
+  sched : Dsm_runtime.Proc.sched;
+  c : Dsm_causal.Cluster.t;
+  master : Dsm_util.Prng.t;
+      (** [Prng.create seed], untouched until the body splits it: each
+          scenario splits it once per process, in its own spawn order *)
+}
+(** What a scenario body gets: the engine, scheduler and cluster of this
+    run, and its master PRNG. *)
+
+val scenario :
+  name:string ->
+  knobs:knobs ->
+  seed:int64 ->
+  owner:Dsm_memory.Owner.t ->
+  ?config:Dsm_causal.Config.t ->
+  ?sharding:Dsm_memory.Shard.t ->
+  (ctx -> unit -> int * (string * string) list) ->
+  report
+(** [scenario ~name ~knobs ~seed ~owner body] runs one chaos scenario.  It
+    creates the engine and scheduler, then the cluster over [knobs]' faulty
+    links and reliable transport, with [knobs.mutation] folded into
+    [config] and, with [knobs.online_check], the online checker on the
+    trace bus.  [body ctx] schedules faults and spawns processes, and
+    returns a finisher.  The runner drains the engine (a process that
+    raised is noted as ["failed:<proc>"], not re-raised), then calls the
+    finisher, which may run more processes (a read-back) and returns
+    [(crashes, notes)]: the crash-stop events it injected and its
+    scenario-specific notes.  Finally the runner shuts the cluster down and
+    builds the report; [causal_ok] is {!Harness.check_history} on the
+    recorded history.  Every scenario below and {!Bench} run this way. *)
+
+(** {1 Scenarios} *)
 
 val mix :
   ?knobs:knobs -> ?seed:int64 -> ?spec:Workload.spec -> unit -> report

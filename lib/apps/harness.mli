@@ -68,6 +68,11 @@ val solver_causal_barrier :
     Figure 6 coordinator handshake ({!Solver_barrier}); [n] workers, no
     extra node. *)
 
+val check_history : Dsm_memory.History.t -> bool
+(** {!Dsm_checker.Causal_check.is_correct}, except that a history of more
+    than 6,000 operations is assumed correct: the check is quadratic.  The
+    one cutoff every harness, chaos report and bench applies. *)
+
 val steady_rate :
   run:(iters:int -> solver_result) -> iters_lo:int -> iters_hi:int -> float
 (** Messages per worker per iteration in steady state:
@@ -91,13 +96,3 @@ val solver_async :
   refresh_every:int ->
   unit ->
   async_result
-
-val run_procs :
-  ?poll_interval:float ->
-  ?step_limit:int ->
-  (Dsm_runtime.Proc.sched -> (string * (unit -> unit)) list) ->
-  Dsm_sim.Engine.t * Dsm_runtime.Proc.sched
-(** Lower-level helper: create engine+scheduler, let the callback build the
-    process list (and any clusters), spawn everything, run to quiescence,
-    re-raise process failures.  Returns the engine and scheduler for
-    post-run inspection. *)

@@ -102,7 +102,10 @@ let run_cell ~nodes ~shards ~seed ~ops_per_client ~partial =
            done))
   done;
   Engine.run engine;
-  let unfinished = List.length (Proc.failures sched) in
+  (* Processes that raised, and processes left blocked at quiescence. *)
+  let unfinished =
+    List.length (Proc.failures sched) + List.length (Proc.unfinished_since sched)
+  in
   let ops = nodes * ops_per_client in
   let logical = Causal.logical_messages c in
   let bytes = (Causal.wire_counters c).Network.bytes in
@@ -115,10 +118,7 @@ let run_cell ~nodes ~shards ~seed ~ops_per_client ~partial =
     wire_bytes = bytes;
     messages_per_op = float_of_int logical /. float_of_int ops;
     bytes_per_op = float_of_int bytes /. float_of_int ops;
-    causal_ok =
-      (Dsm_memory.History.op_count history <= 6_000
-      && Dsm_checker.Causal_check.is_correct history)
-      || Dsm_memory.History.op_count history > 6_000;
+    causal_ok = Harness.check_history history;
     unfinished;
   }
 

@@ -14,8 +14,8 @@ type cell = {
   wire_bytes : int;
   messages_per_op : float;
   bytes_per_op : float;
-  causal_ok : bool;
-  unfinished : int;
+  causal_ok : bool;  (** {!Harness.check_history} verdict *)
+  unfinished : int;  (** processes that raised or were left blocked *)
 }
 
 type size_result = {

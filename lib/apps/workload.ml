@@ -49,79 +49,77 @@ let client ~spec ~prng ~pid ~read ~write ~refresh () =
     end
   done
 
-let run_clients ~spec ~seed ~make =
-  validate spec;
-  let engine = Engine.create () in
-  let sched = Proc.scheduler engine in
-  let master = Prng.create seed in
-  let read, write, refresh, finish = make engine sched in
-  for pid = 0 to spec.processes - 1 do
+let spawn_clients ?clients sched ~spec ~master ~read ~write ~refresh =
+  for pid = 0 to Option.value clients ~default:spec.processes - 1 do
     let prng = Prng.split master in
     ignore
       (Proc.spawn sched ~name:(Printf.sprintf "client%d" pid)
          (client ~spec ~prng ~pid ~read:(read pid) ~write:(write pid) ~refresh:(refresh pid)))
-  done;
+  done
+
+let spawn_causal_clients ?clients sched ~spec ~master c =
+  let module Cluster = Dsm_causal.Cluster in
+  spawn_clients ?clients sched ~spec ~master
+    ~read:(fun pid l -> Cluster.read (Cluster.handle c pid) l)
+    ~write:(fun pid l v -> Cluster.write (Cluster.handle c pid) l v)
+    ~refresh:(fun pid l -> Cluster.Mem.refresh (Cluster.handle c pid) l)
+
+(* [spawn sched master] builds the memory and spawns its clients;
+   [finish engine] reads the outcome back after quiescence. *)
+let run_clients ~spec ~seed spawn =
+  validate spec;
+  let engine = Engine.create () in
+  let sched = Proc.scheduler engine in
+  let finish = spawn sched (Prng.create seed) in
   Engine.run engine;
   Proc.check sched;
   finish engine
 
 let run_causal ?(seed = 1L) ?config ?latency ?fault ?reliability ?rpc spec =
+  let module Cluster = Dsm_causal.Cluster in
   let owner = Dsm_memory.Owner.by_index ~nodes:spec.processes in
   let cluster = ref None in
   let outcome =
-    run_clients ~spec ~seed ~make:(fun _engine sched ->
-        let c =
-          Dsm_causal.Cluster.create ~sched ~owner ?config ?latency ?fault ?reliability ?rpc
-            ~seed ()
-        in
+    run_clients ~spec ~seed (fun sched master ->
+        let c = Cluster.create ~sched ~owner ?config ?latency ?fault ?reliability ?rpc ~seed () in
         cluster := Some c;
-        let read pid l = Dsm_causal.Cluster.read (Dsm_causal.Cluster.handle c pid) l in
-        let write pid l v = Dsm_causal.Cluster.write (Dsm_causal.Cluster.handle c pid) l v in
-        let refresh pid l =
-          Dsm_causal.Cluster.Mem.refresh (Dsm_causal.Cluster.handle c pid) l
-        in
-        let finish engine =
-          Dsm_causal.Cluster.shutdown c;
+        spawn_causal_clients sched ~spec ~master c;
+        fun engine ->
+          Cluster.shutdown c;
           {
-            history = Dsm_causal.Cluster.history c;
-            messages = Dsm_causal.Cluster.physical_frames c;
+            history = Cluster.history c;
+            messages = Cluster.physical_frames c;
             sim_time = Engine.now engine;
-          }
-        in
-        (read, write, refresh, finish))
+          })
   in
   (outcome, Option.get !cluster)
 
 let run_atomic ?(seed = 1L) ?(mode = `Acknowledged) ?latency spec =
+  let module Cluster = Dsm_atomic.Cluster in
   let owner = Dsm_memory.Owner.by_index ~nodes:spec.processes in
-  run_clients ~spec ~seed ~make:(fun _engine sched ->
-      let c = Dsm_atomic.Cluster.create ~sched ~owner ~mode ?latency ~seed () in
-      let read pid l = Dsm_atomic.Cluster.read (Dsm_atomic.Cluster.handle c pid) l in
-      let write pid l v = Dsm_atomic.Cluster.write (Dsm_atomic.Cluster.handle c pid) l v in
-      let refresh _pid _l = () in
-      let finish engine =
+  run_clients ~spec ~seed (fun sched master ->
+      let c = Cluster.create ~sched ~owner ~mode ?latency ~seed () in
+      spawn_clients sched ~spec ~master
+        ~read:(fun pid l -> Cluster.read (Cluster.handle c pid) l)
+        ~write:(fun pid l v -> Cluster.write (Cluster.handle c pid) l v)
+        ~refresh:(fun _ _ -> ());
+      fun engine ->
         {
-          history = Dsm_atomic.Cluster.history c;
-          messages = Dsm_net.Network.lifetime_total (Dsm_atomic.Cluster.net c);
+          history = Cluster.history c;
+          messages = Dsm_net.Network.lifetime_total (Cluster.net c);
           sim_time = Engine.now engine;
-        }
-      in
-      (read, write, refresh, finish))
+        })
 
 let run_bmem ?(seed = 1L) ?(mode = `Causal) ?latency spec =
-  run_clients ~spec ~seed ~make:(fun _engine sched ->
-      let b = Dsm_broadcast.Bmem.create ~sched ~processes:spec.processes ~mode ?latency ~seed () in
-      let read pid l = Dsm_broadcast.Bmem.read (Dsm_broadcast.Bmem.handle b pid) l in
-      let write pid l v = Dsm_broadcast.Bmem.write (Dsm_broadcast.Bmem.handle b pid) l v in
-      let refresh _pid _l = () in
-      let finish engine =
-        {
-          history = Dsm_broadcast.Bmem.history b;
-          messages = Dsm_broadcast.Bmem.messages b;
-          sim_time = Engine.now engine;
-        }
-      in
-      (read, write, refresh, finish))
+  let module Bmem = Dsm_broadcast.Bmem in
+  run_clients ~spec ~seed (fun sched master ->
+      let b = Bmem.create ~sched ~processes:spec.processes ~mode ?latency ~seed () in
+      spawn_clients sched ~spec ~master
+        ~read:(fun pid l -> Bmem.read (Bmem.handle b pid) l)
+        ~write:(fun pid l v -> Bmem.write (Bmem.handle b pid) l v)
+        ~refresh:(fun _ _ -> ());
+      fun engine ->
+        { history = Bmem.history b; messages = Bmem.messages b; sim_time = Engine.now engine })
 
 let mutate_read prng history =
   let rows = Array.map Array.copy (history : History.t :> Op.t array array) in

@@ -23,19 +23,20 @@ val loc : int -> Dsm_memory.Loc.t
 val validate : spec -> unit
 (** Raise [Invalid_argument] on nonsensical field values. *)
 
-val client :
+val spawn_causal_clients :
+  ?clients:int ->
+  Dsm_runtime.Proc.sched ->
   spec:spec ->
-  prng:Dsm_util.Prng.t ->
-  pid:int ->
-  read:(Dsm_memory.Loc.t -> Dsm_memory.Value.t) ->
-  write:(Dsm_memory.Loc.t -> Dsm_memory.Value.t -> unit) ->
-  refresh:(Dsm_memory.Loc.t -> unit) ->
-  unit ->
+  master:Dsm_util.Prng.t ->
+  Dsm_causal.Cluster.t ->
   unit
-(** One client process body: [ops_per_process] random operations with the
-    spec's mix, unique write values ([pid * 1e6 + op index]).  Exposed so
-    harnesses (e.g. {!Chaos}) can run the standard mix over clusters they
-    build themselves. *)
+(** Spawn client processes [client0 .. client<clients-1>] ([clients]
+    defaults to [spec.processes]) over the cluster's handles, each running
+    [ops_per_process] random operations with the spec's mix and unique
+    write values ([pid * 1e6 + op index]).  Each client draws from its own
+    [Prng.split master], split in pid order at spawn time.  {!run_causal},
+    the chaos scenarios and the transport bench all run the standard mix
+    this way. *)
 
 type outcome = {
   history : Dsm_memory.History.t;

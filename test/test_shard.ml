@@ -152,6 +152,21 @@ let test_make_validates () =
   Alcotest.check_raises "too many" (Invalid_argument "Shard.make: need 1 <= shards <= nodes")
     (fun () -> ignore (Shard.make ~nodes:4 ~shards:5))
 
+(* The bench gate, and no client left behind: a cell counts processes
+   that raised and processes blocked forever. *)
+let test_bench_quick_healthy () =
+  let r = Dsm_apps.Shard_bench.run ~quick:true () in
+  Alcotest.(check bool) "quick bench healthy" true (Dsm_apps.Shard_bench.healthy r);
+  List.iter
+    (fun (s : Dsm_apps.Shard_bench.size_result) ->
+      List.iter
+        (fun (c : Dsm_apps.Shard_bench.cell) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%d nodes %s: unfinished" s.nodes c.mode)
+            0 c.unfinished)
+        [ s.full; s.partial ])
+    r.Dsm_apps.Shard_bench.sizes
+
 let suite =
   [
     Alcotest.test_case "contiguous rings" `Quick test_contiguous_rings;
@@ -165,4 +180,5 @@ let suite =
     Alcotest.test_case "subscriptions canonical" `Quick test_subscriptions_canonical;
     Alcotest.test_case "share-set GC collects idle subscribers" `Quick test_share_set_gc;
     Alcotest.test_case "make validates" `Quick test_make_validates;
+    Alcotest.test_case "quick bench healthy" `Quick test_bench_quick_healthy;
   ]
