@@ -132,16 +132,17 @@ let scenario ~name ~knobs ~seed ~owner ?config ?sharding body =
   let crashes, notes = finish () in
   Causal.shutdown c;
   let history = Causal.history c in
+  let notes = notes @ failures in
   let notes =
     match online with
-    | None -> notes @ failures
+    | None -> notes
     | Some ck ->
         ("online_ops", string_of_int (Online.ops_seen ck))
         :: ("online_checks", string_of_int (Online.checks ck))
         :: ("online_edges", string_of_int (Online.edges ck))
         :: ("online_pending", string_of_int (Online.pending_reads ck))
         :: ("online_dropped", string_of_int (Online.dropped_reads ck))
-        :: (notes @ failures)
+        :: notes
   in
   {
     scenario = name;

@@ -87,8 +87,9 @@ type ctx = {
   sched : Dsm_runtime.Proc.sched;
   c : Dsm_causal.Cluster.t;
   master : Dsm_util.Prng.t;
-      (** [Prng.create seed], untouched until the body splits it: each
-          scenario splits it once per process, in its own spawn order *)
+      (** [Prng.create seed], not yet split: a body splits it once per
+          process, and a report stays byte-identical only while the order
+          of those splits does *)
 }
 (** What a scenario body gets: the engine, scheduler and cluster of this
     run, and its master PRNG. *)
