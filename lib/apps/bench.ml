@@ -127,7 +127,8 @@ let to_json r =
   field "{\n";
   field "  \"benchmark\": \"transport\",\n";
   field "  \"workload\": \"chaos-mix\",\n";
-  field "  \"faults\": { \"drop\": 0.05, \"duplicate\": 0.01 },\n";
+  field "  \"faults\": { \"drop\": %g, \"duplicate\": %g },\n" Chaos.default_knobs.drop
+    Chaos.default_knobs.duplicate;
   field "  \"quick\": %b,\n" r.quick;
   field "  \"seeds\": [%s],\n"
     (String.concat ", " (List.map Int64.to_string r.seeds));

@@ -302,14 +302,14 @@ let crash_restart ?(knobs = default_knobs) ?(seed = 4L) ?(clients = 3)
   let spec =
     {
       Workload.default_spec with
-      Workload.processes;
+      Workload.processes = clients;
       ops_per_process = ops_per_client;
       locations = 2 * clients;
     }
   in
   scenario ~name:"crash-restart" ~knobs ~seed ~owner (fun ctx ->
       let c = ctx.c in
-      Workload.spawn_causal_clients ~clients ctx.sched ~spec ~master:ctx.master c;
+      Workload.spawn_causal_clients ctx.sched ~spec ~master:ctx.master c;
       let crashes = ref 0 in
       ignore
         (Proc.spawn ctx.sched ~name:"victim" (fun () ->

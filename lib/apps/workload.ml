@@ -49,17 +49,17 @@ let client ~spec ~prng ~pid ~read ~write ~refresh () =
     end
   done
 
-let spawn_clients ?clients sched ~spec ~master ~read ~write ~refresh =
-  for pid = 0 to Option.value clients ~default:spec.processes - 1 do
+let spawn_clients sched ~spec ~master ~read ~write ~refresh =
+  for pid = 0 to spec.processes - 1 do
     let prng = Prng.split master in
     ignore
       (Proc.spawn sched ~name:(Printf.sprintf "client%d" pid)
          (client ~spec ~prng ~pid ~read:(read pid) ~write:(write pid) ~refresh:(refresh pid)))
   done
 
-let spawn_causal_clients ?clients sched ~spec ~master c =
+let spawn_causal_clients sched ~spec ~master c =
   let module Cluster = Dsm_causal.Cluster in
-  spawn_clients ?clients sched ~spec ~master
+  spawn_clients sched ~spec ~master
     ~read:(fun pid l -> Cluster.read (Cluster.handle c pid) l)
     ~write:(fun pid l v -> Cluster.write (Cluster.handle c pid) l v)
     ~refresh:(fun pid l -> Cluster.Mem.refresh (Cluster.handle c pid) l)

@@ -24,19 +24,17 @@ val validate : spec -> unit
 (** Raise [Invalid_argument] on nonsensical field values. *)
 
 val spawn_causal_clients :
-  ?clients:int ->
   Dsm_runtime.Proc.sched ->
   spec:spec ->
   master:Dsm_util.Prng.t ->
   Dsm_causal.Cluster.t ->
   unit
-(** Spawn client processes [client0 .. client<clients-1>] ([clients]
-    defaults to [spec.processes]) over the cluster's handles, each running
-    [ops_per_process] random operations with the spec's mix and unique
-    write values ([pid * 1e6 + op index]).  Each client draws from its own
-    [Prng.split master], split in pid order at spawn time.  {!run_causal},
-    the chaos scenarios and the transport bench all run the standard mix
-    this way. *)
+(** Spawn client processes [client0 .. client<processes-1>] over the
+    cluster's handles, each running [ops_per_process] random operations
+    with the spec's mix and unique write values ([pid * 1e6 + op index]).
+    Each client draws from its own [Prng.split master], split in pid order
+    at spawn time.  {!run_causal}, the chaos scenarios and the transport
+    bench all run the standard mix this way. *)
 
 type outcome = {
   history : Dsm_memory.History.t;
