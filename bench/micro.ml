@@ -73,8 +73,8 @@ let bench_protocol_roundtrip =
          Dsm_sim.Engine.run engine))
 
 (* The cost of the pure-core refactor's dispatch: one [Protocol.step] on a
-   pre-built state, no shell, no network — an [Owner_write] (the cheapest
-   full service path: certify + clock + action construction) and a no-op
+   pre-built state, no shell, no network — a [Client_write] at the owner
+   (the cheapest full service path: certify + clock + action construction) and a no-op
    heartbeat tick.  Measures the event/action indirection the effect shell
    pays on every message relative to the old direct calls. *)
 let bench_step_owner_write =
@@ -89,7 +89,7 @@ let bench_step_owner_write =
     (Staged.stage (fun () ->
          ignore
            (P.step st
-              (P.Owner_write { node = 0; loc; value = Dsm_memory.Value.Int 1; writer = 0 }))))
+              (P.Client_write { node = 0; op = 0; loc; value = Dsm_memory.Value.Int 1 }))))
 
 let bench_step_hb_tick =
   let module P = Dsm_protocol.Protocol in

@@ -95,7 +95,7 @@ let owner_write_words ~nodes =
   let loc = Dsm_memory.Loc.indexed "v" 0 in
   let step () =
     ignore
-      (P.step st (P.Owner_write { node = 0; loc; value = Dsm_memory.Value.Int 1; writer = 0 }))
+      (P.step st (P.Client_write { node = 0; op = 0; loc; value = Dsm_memory.Value.Int 1 }))
   in
   for _ = 1 to 1_000 do step () done;
   let steps = 10_000 in
