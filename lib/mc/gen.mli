@@ -85,6 +85,7 @@ val publication : scope
 val race : scope
 val failover : scope
 val fence : scope
+val takeover : scope
 val lossy : scope
 val power : scope
 val partition : scope

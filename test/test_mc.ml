@@ -121,6 +121,45 @@ let test_counterexample_trace_written () =
       Sys.remove path;
       Alcotest.(check int) "one JSONL line per event" n !lines
 
+let test_failover_shadow_read_explored () =
+  (* The explored client path is the shipped one: while the backup
+     suspects the crashed owner and has not promoted yet, its read of x is
+     served from its own shadow copy — some explored execution does so. *)
+  let shadow_reads = ref 0 in
+  let report =
+    Explore.explore
+      ~on_terminal:(fun sys ->
+        shadow_reads := max !shadow_reads (MSys.counters sys).Dsm_protocol.Protocol.shadow_reads)
+      Gen.failover
+  in
+  Alcotest.(check bool) "clean" true (report.Explore.cex = None);
+  Alcotest.(check bool) "a read went through the shadow path" true (!shadow_reads > 0)
+
+let test_takeover_late_write_reply () =
+  (* The promoted backup's own write: the old owner's W_REPLY arrives after
+     the promotion and completes the op without a cached copy. *)
+  let sched =
+    MSys.
+      [
+        Issue 1;
+        Deliver { src = 1; dst = 0 };
+        Deliver { src = 0; dst = 1 };
+        Deliver { src = 1; dst = 0 };
+        Crash_victim;
+        Takeover_tick;
+        Deliver { src = 1; dst = 2 };
+        Deliver { src = 1; dst = 2 };
+        Deliver { src = 2; dst = 1 };
+        Deliver { src = 0; dst = 1 };
+      ]
+  in
+  let sys = Explore.replay Gen.takeover sched in
+  Alcotest.(check bool) "no violation" true (MSys.violation sys = None);
+  Alcotest.(check bool) "the write completed" true (MSys.completed sys);
+  Alcotest.(check int) "node 1 promoted" 1 (MSys.counters sys).Dsm_protocol.Protocol.takeovers;
+  Alcotest.(check bool) "node 1 serves x=1" true
+    (MSys.owner_value sys Gen.x = Some (Dsm_memory.Value.Int 1))
+
 let test_matrix_end_to_end () =
   (* The CLI's --matrix verdict logic: all rows ok under the default
      bound (the fence scope's quorum canvass pushes it past 160k states,
@@ -143,5 +182,7 @@ let suite =
     Alcotest.test_case "exploration deterministic" `Quick test_exploration_deterministic;
     Alcotest.test_case "counterexample trace written" `Quick
       test_counterexample_trace_written;
+    Alcotest.test_case "failover shadow read explored" `Quick test_failover_shadow_read_explored;
+    Alcotest.test_case "takeover late write reply" `Quick test_takeover_late_write_reply;
     Alcotest.test_case "matrix end to end" `Slow test_matrix_end_to_end;
   ]
