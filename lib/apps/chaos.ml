@@ -57,6 +57,7 @@ type report = {
   online_checked : bool;
   online_violation : string option;
   notes : (string * string) list;
+  failed : (string * string) list;
 }
 
 (* Rebuild Op.t values from the bus's application-level events (per-pid
@@ -124,15 +125,11 @@ let scenario ~name ~knobs ~seed ~owner ?config ?sharding body =
   in
   let finish = body { engine; sched; c; master = Prng.create seed } in
   (* Unlike [Proc.check], a process that raised does not abort the run: it
-     is reported, after the scenario's own notes. *)
+     is reported in [failed], which makes the run unhealthy. *)
   Engine.run engine;
-  let failures =
-    List.map (fun (p, exn) -> ("failed:" ^ p, Printexc.to_string exn)) (Proc.failures sched)
-  in
   let crashes, notes = finish () in
   Causal.shutdown c;
   let history = Causal.history c in
-  let notes = notes @ failures in
   let notes =
     match online with
     | None -> notes
@@ -161,6 +158,7 @@ let scenario ~name ~knobs ~seed ~owner ?config ?sharding body =
     view = Causal.view c;
     unfinished = Proc.unfinished_since sched;
     notes;
+    failed = List.map (fun (p, exn) -> (p, Printexc.to_string exn)) (Proc.failures sched);
   }
 
 (* {1 Shared scenario pieces} *)
@@ -453,20 +451,28 @@ let power_failure ?(knobs = default_knobs) ?(seed = 6L) ?(clients = 4)
       let c = ctx.c in
       let crashes = ref 0 in
       (* The outage supervisor.  Phase 1 lasts ~[ops_per_client] time
-         units; the coordinated round starts mid-phase, the outage hits once
-         every client is asleep, and power returns well before anyone
-         wakes. *)
+         units; the coordinated round starts mid-phase.  The outage hits at
+         [phase1_end + 5] or when the last client finishes phase 1,
+         whichever is later, so every client is asleep; power returns 30
+         time units later, well before anyone wakes. *)
       let phase1_end = float_of_int ops_per_client +. 2.0 in
+      let in_phase1 = ref processes and due = ref false in
+      let outage_if_due () =
+        if !due && !in_phase1 = 0 then begin
+          for pid = 0 to processes - 1 do
+            match Causal.crash_result c pid with Ok () -> incr crashes | Error _ -> ()
+          done;
+          Engine.schedule ctx.engine ~delay:30.0 (fun () ->
+              for pid = 0 to processes - 1 do
+                ignore (Causal.restart_result c pid)
+              done)
+        end
+      in
       Engine.schedule_at ctx.engine (phase1_end /. 2.0) (fun () ->
           if not (Causal.is_crashed c 0) then Causal.begin_checkpoint c 0);
       Engine.schedule_at ctx.engine (phase1_end +. 5.0) (fun () ->
-          for pid = 0 to processes - 1 do
-            match Causal.crash_result c pid with Ok () -> incr crashes | Error _ -> ()
-          done);
-      Engine.schedule_at ctx.engine (phase1_end +. 35.0) (fun () ->
-          for pid = 0 to processes - 1 do
-            ignore (Causal.restart_result c pid)
-          done);
+          due := true;
+          outage_if_due ());
       for pid = 0 to processes - 1 do
         let prng = Prng.split ctx.master in
         let h = Causal.handle c pid in
@@ -476,6 +482,8 @@ let power_failure ?(knobs = default_knobs) ?(seed = 6L) ?(clients = 4)
              ~name:(Printf.sprintf "client%d" pid)
              (fun () ->
                steps ~first:1 ~last:ops_per_client one_op;
+               decr in_phase1;
+               outage_if_due ();
                (* Sleep across the outage window: a powered-off node runs
                   no application code, so the blackout lands between
                   operations. *)
@@ -959,7 +967,8 @@ let run ?knobs ?seed name =
         (Printf.sprintf "Chaos.run: unknown scenario %s (expected one of %s)" name
            (String.concat ", " scenarios))
 
-let healthy r = r.causal_ok && r.unfinished = [] && r.online_violation = None
+let healthy r =
+  r.causal_ok && r.unfinished = [] && r.failed = [] && r.online_violation = None
 
 let pp_report ppf r =
   let line fmt = Format.fprintf ppf fmt in
@@ -1000,6 +1009,7 @@ let pp_report ppf r =
         (fun (name, since) -> line "  %s (blocked since t=%.1f)@." name since)
         stuck);
   List.iter (fun (k, v) -> line "%-18s %s@." (k ^ ":") v) r.notes;
+  List.iter (fun (p, exn) -> line "%-18s %s@." ("failed:" ^ p ^ ":") exn) r.failed;
   line "health:            %s (gave_up %d, suspects %d, unsuspects %d)@."
     (if healthy r then "OK" else "UNHEALTHY")
     r.transport.Reliable.gave_up s.suspects s.unsuspects

@@ -76,8 +76,10 @@ type report = {
           clean or when [online_check] was off); ["online_ops"] /
           ["online_checks"] / ["online_edges"] notes record its work *)
   notes : (string * string) list;
-      (** scenario-specific facts that are not cluster counters, ending
-          with a ["failed:<proc>"] entry for any process that raised *)
+      (** scenario-specific facts that are not cluster counters *)
+  failed : (string * string) list;
+      (** processes that raised, with the exception — must be empty for a
+          healthy run; printed after the notes as ["failed:<proc>"] *)
 }
 
 (** {1 The runner} *)
@@ -263,5 +265,5 @@ val pp_report : Format.formatter -> report -> unit
     line ({!healthy} plus the give-up and suspicion counts). *)
 
 val healthy : report -> bool
-(** [causal_ok && unfinished = [] && online_violation = None] — the chaos
-    pass/fail criterion. *)
+(** [causal_ok && unfinished = [] && failed = [] && online_violation = None]
+    — the chaos pass/fail criterion. *)

@@ -19,10 +19,8 @@ let assert_healthy name (r : Chaos.report) =
     (name ^ ": no process left blocked") [] r.Chaos.unfinished;
   Alcotest.(check int) (name ^ ": nothing abandoned") 0 r.Chaos.transport.Reliable.gave_up;
   List.iter
-    (fun (k, v) ->
-      if String.length k >= 7 && String.sub k 0 7 = "failed:" then
-        Alcotest.failf "%s: process %s raised: %s" name k v)
-    r.Chaos.notes
+    (fun (p, exn) -> Alcotest.failf "%s: process %s raised: %s" name p exn)
+    r.Chaos.failed
 
 let test_mix_soak () =
   let r = Chaos.mix ~knobs:(knobs ()) ~seed:2025L () in
