@@ -4,8 +4,8 @@
     [C_i]), the vector clock [VT_i], and the statistics counters.  All the
     state transitions of the algorithm — install, invalidate-older, discard,
     write certification — live here as atomic in-memory operations; the
-    cluster layer (see {!Cluster}) drives them from message handlers and the
-    blocking application operations.
+    protocol core ({!Protocol}) drives them from message deliveries and
+    client operations.
 
     Invariants maintained:
     - locations owned by this node are always present and never invalidated
@@ -39,8 +39,8 @@ val tick : t -> Vclock.t
 val clock_version : t -> int
 (** [VT_i]'s version for a READ about to be sent, pinned for the
     stale-install guard.  The version changes whenever [VT_i] changes value
-    (a growing merge, a {!tick}, a {!reset_volatile}).  The shell hands it
-    back as [install_read_reply ~since], or to {!abandon_read} if the READ
+    (a growing merge, a {!tick}, a {!reset_volatile}).  The requester hands
+    it back as [install_read_reply ~since], or to {!abandon_read} if the READ
     is given up; every version taken must reach exactly one of the two.
     The clock's value is copied only if it changes while the READ is in
     flight, so a read miss whose clock holds still allocates no clock. *)
@@ -107,7 +107,9 @@ val adopt_write_reply : t -> Dsm_memory.Loc.t -> Stamped.t -> unit
 (** The writer's tail of [w_i(x)v] after [W_REPLY]: merge the owner's clock
     and cache the entry the owner now stores.  Figure 4 performs {e no}
     invalidation on this path — a write certification establishes no
-    reads-from edge.  Requires [not (owns t loc)]. *)
+    reads-from edge.  Requires [not (owns t loc)]: a requester promoted
+    while its write was in flight already serves it, and {!Protocol} only
+    merges the reply's stamp. *)
 
 val install_remote : t -> Dsm_memory.Loc.t -> Stamped.t -> unit
 (** Introduce an entry received from the owner (the [R_REPLY]/[W_REPLY]
@@ -148,7 +150,7 @@ val install_read_reply :
     {!install_batch} if [VT_i] now holds the value it had at [since] (the
     {!clock_version} taken when the READ was sent), else with
     {!install_transient} — the stale-install guard — then enforce the
-    cache capacity.  Releases [since].  Every shell completes a READ
+    cache capacity.  Releases [since].  {!Protocol} completes every READ
     through this one function.
 
     The guard compares values, not versions, whenever the clock changed in
